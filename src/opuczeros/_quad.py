@@ -32,6 +32,16 @@ def _panel_estimate(f, a, b, order):
     return hi, abs(hi - lo)
 
 
+def _converged(heap, ival, ierr, tol):
+    """Whether the panels' summed error meets tol; raises on a non-finite sum."""
+    total_err = math.fsum(item[ierr] for item in heap)
+    total_val = math.fsum(item[ival] for item in heap)
+    if not (math.isfinite(total_val) and math.isfinite(total_err)):
+        raise QuadratureError("integrand estimate is not finite (value %r, "
+                              "error %r)" % (total_val, total_err))
+    return total_err <= tol * max(abs(total_val), 1.0)
+
+
 def adaptive_gl(f, a, b, tol=1e-9, splits=(), order=16, max_panels=4000):
     """Integrate vectorized f over [a, b]; returns (value, error_estimate)."""
     edges = sorted({float(a), float(b), *(float(s) for s in splits if a < s < b)})
@@ -42,16 +52,13 @@ def adaptive_gl(f, a, b, tol=1e-9, splits=(), order=16, max_panels=4000):
         heapq.heappush(heap, (-err, counter, lo, hi, val, err))
         counter += 1
     while len(heap) < max_panels:
-        total_err = math.fsum(item[5] for item in heap)
-        total_val = math.fsum(item[4] for item in heap)
-        if total_err <= tol * max(abs(total_val), 1.0):
+        if _converged(heap, 4, 5, tol):
             break
-        neg_err, _, lo, hi, _, _ = heapq.heappop(heap)
+        _, _, lo, hi, _, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            heapq.heappush(heap, (neg_err, counter, lo, hi, -neg_err, -neg_err))
-            counter += 1
-            break
+            raise QuadratureError("panel [%r, %r] cannot be split further"
+                                  % (lo, hi))
         for p, q in ((lo, mid), (mid, hi)):
             val, err = _panel_estimate(f, p, q, order)
             heapq.heappush(heap, (-err, counter, p, q, val, err))
@@ -101,9 +108,7 @@ def adaptive_gl_2d(f2, xrange, yrange, tol=1e-6, xsplits=(), ysplits=(),
             heapq.heappush(heap, (-err, counter, rect, val, err))
             counter += 1
     while len(heap) < max_rects:
-        total_err = math.fsum(item[4] for item in heap)
-        total_val = math.fsum(item[3] for item in heap)
-        if total_err <= tol * max(abs(total_val), 1.0):
+        if _converged(heap, 3, 4, tol):
             break
         _, _, rect, _, _ = heapq.heappop(heap)
         (xlo, xhi), (ylo, yhi) = rect

@@ -32,30 +32,46 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
+def _parse_number(text, what, kind=int):
+    """kind(text), or an input error naming the field that did not parse."""
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        raise InvalidCoefficientError("%s must be %s, got %r" % (
+            what, "an integer" if kind is int else "a number", text)) from None
+
+
 def _parse_grid(text):
     """Inclusive grid syntax start:end:count."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidCoefficientError("grid syntax is start:end:count")
-    start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
+    start = _parse_number(parts[0], "grid start", float)
+    end = _parse_number(parts[1], "grid end", float)
+    count = _parse_number(parts[2], "grid count")
     if count < 1:
         raise InvalidCoefficientError("grid count must be >= 1")
     return np.linspace(start, end, count)
 
 
-def _parse_region(text, n=None):
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "real":
-        if len(parts) == 3:
-            return RealInterval(float(parts[1]), float(parts[2]))
-        return WholeRealLine()
+# numeric fields after the kind: real takes none (whole line) or a:b
+_REGION_FIELDS = {"real": (0, 2), "annulus": (3,), "window": (4,)}
+
+
+def _parse_region(text):
+    kind, *fields = text.split(":")
+    if kind not in _REGION_FIELDS:
+        raise InvalidCoefficientError("unknown region %r" % (text,))
+    if len(fields) not in _REGION_FIELDS[kind]:
+        raise InvalidCoefficientError(
+            "region %r: %s takes %s numeric fields" % (
+                text, kind, " or ".join(map(str, _REGION_FIELDS[kind]))))
+    vals = [_parse_number(f, "region field", float) for f in fields]
     if kind == "annulus":
-        return AnnularSector(float(parts[1]), float(parts[2]), float(parts[3]))
+        return AnnularSector(*vals)
     if kind == "window":
-        return ScalingWindow(float(parts[1]), float(parts[2]),
-                             float(parts[3]), float(parts[4]))
-    raise InvalidCoefficientError("unknown region %r" % (text,))
+        return ScalingWindow(*vals)
+    return RealInterval(*vals) if vals else WholeRealLine()
 
 
 def _header_lines(config):
@@ -102,7 +118,7 @@ def _load_config_file(args):
 
 def _cmd_intensity(args):
     spec = parse_ensemble(args.ensemble or "free")
-    n = int(args.n)
+    n = _parse_number(args.n, "--n")
     xs = _parse_grid(args.real_grid)
     alpha = materialize(spec, n)
     rho_kernel = real_intensity_kernel_grid(alpha, n, xs)
@@ -119,15 +135,15 @@ def _cmd_intensity(args):
 
 def _cmd_expected_zeros(args):
     spec = parse_ensemble(args.ensemble or "free")
-    ns = [int(v) for v in str(args.n).split(",")]
+    ns = [_parse_number(v, "--n") for v in str(args.n).split(",")]
     region_text = args.region or "real"
+    region = _parse_region(region_text)
     tol = args.tolerance if args.tolerance is not None else 1e-8
     config = {"command": "expected-zeros", "ensemble": spec.label(),
               "n": args.n, "region": region_text, "tolerance": tol}
     rows = []
     for n in ns:
         alpha = materialize(spec, max(n, 1))
-        region = _parse_region(region_text, n)
         if isinstance(region, (WholeRealLine, RealInterval)):
             res = expected_real_zeros(alpha, n, region, tol=tol)
         else:
@@ -139,7 +155,7 @@ def _cmd_expected_zeros(args):
 
 def _cmd_para_spectrum(args):
     spec = parse_ensemble(args.ensemble or "free")
-    n = int(args.n)
+    n = _parse_number(args.n, "--n")
     alpha = materialize(spec, max(n - 1, 1))
     ps = para_spectrum(alpha, n)
     config = {"command": "para-spectrum", "ensemble": spec.label(), "n": n}
@@ -150,14 +166,14 @@ def _cmd_para_spectrum(args):
 
 def _cmd_mc(args):
     spec = parse_ensemble(args.ensemble or "free")
-    n = int(args.n)
-    seed = int(args.seed) if args.seed is not None else 0
-    trials = int(args.trials) if args.trials is not None else 1000
+    n = _parse_number(args.n, "--n")
+    seed = _parse_number(args.seed, "--seed") if args.seed is not None else 0
+    trials = _parse_number(args.trials, "--trials") if args.trials is not None else 1000
     region_text = args.region or "real"
+    region = _parse_region(region_text)
     alpha = materialize(spec, n)
     batch = SampleBatch(n=n, alpha=alpha, seed=seed, trials=trials)
     roots = sample_roots(batch)
-    region = _parse_region(region_text, n)
     if isinstance(region, ScalingWindow):
         report = count_in_scaling_window(roots, region, n)
     else:
@@ -184,8 +200,8 @@ def _cmd_scaling_limit(args):
 
 def _cmd_geronimus_check(args):
     base = parse_ensemble(args.base or "free")
-    t = float(args.t)
-    count = int(args.count) if args.count is not None else 12
+    t = _parse_number(args.t, "--t", float)
+    count = _parse_number(args.count, "--count") if args.count is not None else 12
     alpha_rec = materialize(geronimus(base, t), count).array(count)
     base_alpha = materialize(base, count)
     mom_nu = moments_from_verblunsky(base_alpha, count)
@@ -204,7 +220,7 @@ def _cmd_geronimus_check(args):
 
 def _cmd_conservation_check(args):
     spec = parse_ensemble(args.ensemble or "free")
-    n = int(args.n)
+    n = _parse_number(args.n, "--n")
     tol = args.tolerance if args.tolerance is not None else 1e-4
     alpha = materialize(spec, n)
     result = conservation_check(alpha, n, tol=tol)

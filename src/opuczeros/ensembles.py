@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCoefficientError
-from .szego import VerblunskySequence, as_verblunsky
+from .szego import VerblunskySequence, as_verblunsky, monic_step
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,8 @@ def moments_from_verblunsky(alpha, m):
     moments = np.empty(m + 1)
     moments[0] = 1.0
     c = np.array([1.0])        # Phi_0
-    cs = np.array([1.0])
     for k in range(m):
-        shifted = np.concatenate([[0.0], c])
-        c_new = shifted - a[k] * np.concatenate([cs, [0.0]])
-        cs_new = np.concatenate([cs, [0.0]]) - a[k] * shifted
-        c, cs = c_new, cs_new
+        c = monic_step(c, a[k])
         # c holds Phi_{k+1}; its top coefficient is 1
         moments[k + 1] = -math.fsum(c[j] * moments[j] for j in range(k + 1))
     return moments
@@ -172,8 +168,7 @@ def verblunsky_from_moments(moments):
         if not -1.0 < a < 1.0 or not math.isfinite(a):
             raise InvalidCoefficientError(
                 "moment sequence is not positive definite at index %d" % k)
-        bs = b[::-1]
-        b = np.concatenate([[0.0], b]) - a * np.concatenate([bs, [0.0]])
+        b = monic_step(b, a)
         norm2 *= (1.0 - a * a)
         alphas[k] = a
     return alphas

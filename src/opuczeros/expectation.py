@@ -73,8 +73,14 @@ class ScalingWindow:
             raise OutOfDomainError("scaling window needs theta1 < theta2")
 
 
+def _check_degree(n):
+    if n < 1:
+        raise OutOfDomainError("expected zero counts need n >= 1, got %d" % n)
+
+
 def expected_real_zeros(alpha, n, region=WholeRealLine(), tol=1e-9):
     """Expected number of real zeros of P_n over the region."""
+    _check_degree(n)
     seq = as_verblunsky(alpha)
     if n == 1:
         return QuadResult(0.0, 0.0, None)
@@ -148,6 +154,7 @@ def expected_complex_zeros(alpha, n, region, tol=1e-6, guard=GUARD_THETA):
     For a scaling window the asymptotic prediction
     n * |S|/(2 pi) * (H'/H(tau2) - H'/H(tau1)) is returned alongside.
     """
+    _check_degree(n)
     seq = as_verblunsky(alpha)
     if isinstance(region, AnnularSector):
         arcs = _clip_arcs(region.theta1, region.theta2, guard)

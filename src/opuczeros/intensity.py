@@ -67,12 +67,9 @@ def real_intensity_kernel_grid(alpha, n, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if n <= 1:
         return np.zeros(x.shape)
-    b = kernel_bundle(alpha, n, x.astype(complex))
-    k = np.real(np.atleast_1d(b.k_zz))
-    k10 = np.real(np.atleast_1d(b.k10_zz))
-    k11 = np.real(np.atleast_1d(b.k11_zz))
-    rad = k * k11 - k10 * k10
-    return _clamped_sqrt(rad) / (np.pi * k)
+    b = kernel_bundle(alpha, n, x)
+    rad = b.k_zz * b.k11_zz - b.k10_zz * b.k10_zz
+    return _clamped_sqrt(rad) / (np.pi * b.k_zz)
 
 
 def real_intensity_closed_grid(alpha, n, x):
@@ -126,16 +123,23 @@ def real_intensity_closed(alpha, n, x):
 
 
 def _bundle_intensity(b, degenerate):
-    """Complex intensity from a kernel bundle (three-term formula)."""
+    """Complex intensity from a kernel bundle (three-term formula).
+
+    The formula is homogeneous of degree 0 in the five kernel sums, so they
+    are divided by K_n(z, z) first: K_n^2 itself overflows for |z| > 1 at
+    large n even though every sum is a finite mantissa.
+    """
     k = np.atleast_1d(b.k_zz)
-    kb = np.atleast_1d(b.k_zzbar)
-    k10 = np.atleast_1d(b.k10_zz)
-    k10b = np.atleast_1d(b.k10_zzbar)
-    k11 = np.atleast_1d(b.k11_zz)
+    kb = np.atleast_1d(b.k_zzbar) / k
+    k10 = np.atleast_1d(b.k10_zz) / k
+    k10b = np.atleast_1d(b.k10_zzbar) / k
+    k11 = np.atleast_1d(b.k11_zz) / k
     ls = np.atleast_1d(b.log_scale)
-    d = k * k - (kb.real ** 2 + kb.imag ** 2)
+    # d = (K^2 - |K(z, conj z)|^2) / K^2; the floor applies to the unscaled
+    # K^2 d, compared in logs
+    d = 1.0 - (kb.real ** 2 + kb.imag ** 2)
     with np.errstate(divide="ignore"):
-        bad = (d <= 0.0) | (np.log(np.maximum(d, 1e-320)) + 2.0 * ls
+        bad = (d <= 0.0) | (np.log(np.maximum(d, 1e-320)) + 2.0 * (np.log(k) + ls)
                             < _DEGENERACY_LOG_FLOOR)
     if np.any(bad):
         if degenerate != "zero":
@@ -146,7 +150,7 @@ def _bundle_intensity(b, degenerate):
     d12 = np.sqrt(d)
     d32 = d * d12
     t1 = k11 / d12
-    t2 = k * ((k10.real ** 2 + k10.imag ** 2) + (k10b.real ** 2 + k10b.imag ** 2)) / d32
+    t2 = ((k10.real ** 2 + k10.imag ** 2) + (k10b.real ** 2 + k10b.imag ** 2)) / d32
     t3 = 2.0 * np.real(kb * k10 * np.conj(k10b)) / d32
     rho = np.maximum(t1 - t2 + t3, 0.0) / np.pi
     if np.any(bad):

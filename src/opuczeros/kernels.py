@@ -1,8 +1,9 @@
 """Christoffel-Darboux kernels by direct summation and by the closed form.
 
-Direct sums run a single recurrence sweep and accumulate the kernel terms
-alongside; mantissa rescaling of the recurrence is mirrored on the
-accumulators so every returned quantity shares one log-scale exponent.
+Direct sums accumulate the kernel terms over one ``szego._sweep``; every
+rescale event of the sweep is mirrored on the accumulators so every returned
+quantity shares one log-scale exponent.  Real points sweep in float64, so
+their sums come back real.
 """
 
 from collections import namedtuple
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError
-from .szego import as_verblunsky, evaluate, _step, _rescale
+from .szego import as_verblunsky, evaluate, _points, _sweep
 
 # CD quotients have a 0/0 structure on z*conj(w) = 1; below this cutoff the
 # direct sum must be used.
@@ -43,48 +44,44 @@ class KernelBundle:
     log_scale: float
 
 
-def kernel_bundle(alpha, n, z):
-    """All diagonal/anti-diagonal kernel sums over i = 0..n-1 at z."""
+def _kernel_sums(alpha, n, z, add):
+    """KernelBundle of the sums over i = 0..n-1, folded over one sweep at z.
+
+    add(sums, phi, phis, dphi, dphis) returns the five sums (K(z, z),
+    K(z, conj z), K^{(1,0)}(z, z), K^{(1,0)}(z, conj z), K^{(1,1)}(z, z)) with
+    the degree-i term folded in.  Every term is quadratic in the sweep
+    values, so a rescale by sc divides every sum by sc^2.
+    """
     if n < 1:
         raise OutOfDomainError("kernel sums need n >= 1")
-    seq = as_verblunsky(alpha)
-    a = seq.array(max(n - 1, 0))
-    scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    phi = np.ones_like(zz)
-    phis = np.ones_like(zz)
-    dphi = np.zeros_like(zz)
-    dphis = np.zeros_like(zz)
-    log_scale = np.zeros(zz.shape, dtype=float)
-    k_zz = np.zeros(zz.shape, dtype=float)
-    k_zzbar = np.zeros_like(zz)
-    k10_zz = np.zeros_like(zz)
-    k10_zzbar = np.zeros_like(zz)
-    k11_zz = np.zeros(zz.shape, dtype=float)
-    for i in range(n):
-        k_zz += _abs2(phi)
-        k_zzbar += phi * phi
-        k10_zz += dphi * np.conj(phi)
-        k10_zzbar += dphi * phi
-        k11_zz += _abs2(dphi)
-        if i < n - 1:
-            phi, phis, dphi, dphis = _step(a[i], zz, phi, phis, dphi, dphis)
-            sc = _rescale(phi, phis, dphi, dphis, log_scale)
-            if sc is not None:
-                sc2 = sc * sc
-                k_zz /= sc2
-                k_zzbar /= sc2
-                k10_zz /= sc2
-                k10_zzbar /= sc2
-                k11_zz /= sc2
+    a = as_verblunsky(alpha).array(n - 1)
+    zz = _points(z)
+    log_scale = np.zeros(zz.shape)
+    sums = (0.0,) * 5
+    for phi, phis, dphi, dphis, sc in _sweep(a, zz):
+        if sc is not None:
+            log_scale += np.log(sc)
+            sc2 = sc * sc
+            sums = [s / sc2 for s in sums]
+        sums = add(sums, phi, phis, dphi, dphis)
+    k, kb, k10, k10b, k11 = sums
     ls = 2.0 * log_scale
-    if scalar:
-        return KernelBundle(n, complex(zz[0]), float(k_zz[0]), complex(k_zzbar[0]),
-                            complex(k10_zz[0]), complex(k10_zzbar[0]),
-                            complex(np.conj(k10_zzbar[0])), float(k11_zz[0]),
-                            float(ls[0]))
-    return KernelBundle(n, zz, k_zz, k_zzbar, k10_zz, k10_zzbar,
-                        np.conj(k10_zzbar), k11_zz, ls)
+    if np.ndim(z) == 0:
+        return KernelBundle(n, complex(zz[0]), float(k[0]), complex(kb[0]),
+                            complex(k10[0]), complex(k10b[0]),
+                            complex(np.conj(k10b[0])), float(k11[0]), float(ls[0]))
+    return KernelBundle(n, zz, k, kb, k10, k10b, np.conj(k10b), k11, ls)
+
+
+def kernel_bundle(alpha, n, z):
+    """All diagonal/anti-diagonal kernel sums over i = 0..n-1 at z."""
+
+    def add(sums, phi, phis, dphi, dphis):
+        k, kb, k10, k10b, k11 = sums
+        return (k + _abs2(phi), kb + phi * phi, k10 + dphi * np.conj(phi),
+                k10b + dphi * phi, k11 + _abs2(dphi))
+
+    return _kernel_sums(alpha, n, z, add)
 
 
 def reversed_kernel_bundle(alpha, n, u):
@@ -97,92 +94,46 @@ def reversed_kernel_bundle(alpha, n, u):
     basis values, so the exterior intensity can be evaluated without the
     catastrophic 1/|u|^4 amplification of the naive change of variables.
     """
-    if n < 1:
-        raise OutOfDomainError("kernel sums need n >= 1")
-    seq = as_verblunsky(alpha)
-    a = seq.array(max(n - 1, 0))
-    scalar = np.isscalar(u) or getattr(u, "ndim", 0) == 0
-    uu = np.atleast_1d(np.asarray(u, dtype=complex))
+    uu = _points(u)
     au2 = _abs2(uu)
     u2 = uu * uu
     ub = np.conj(uu)
-    phi = np.ones_like(uu)
-    phis = np.ones_like(uu)
-    dphi = np.zeros_like(uu)
-    dphis = np.zeros_like(uu)
-    log_scale = np.zeros(uu.shape, dtype=float)
-    k_zz = np.zeros(uu.shape, dtype=float)
-    k_zzbar = np.zeros_like(uu)
-    k10_zz = np.zeros_like(uu)
-    k10_zzbar = np.zeros_like(uu)
-    k11_zz = np.zeros(uu.shape, dtype=float)
-    for i in range(n):
+
+    def add(sums, phi, phis, dphi, dphis):
         # promote every previous term from u^(i-1-j) psi to u^(i-j) psi;
         # the derivative picks up the undifferentiated sums from one stage
         # back, then the fresh degree-i term enters with no power of u
-        k11_zz = (k_zz + 2.0 * np.real(uu * k10_zz) + au2 * k11_zz
-                  + _abs2(dphis))
-        k10_zz = ub * k_zz + au2 * k10_zz + dphis * np.conj(phis)
-        k10_zzbar = uu * k_zzbar + u2 * k10_zzbar + dphis * phis
-        k_zz = au2 * k_zz + _abs2(phis)
-        k_zzbar = u2 * k_zzbar + phis * phis
-        if i < n - 1:
-            phi, phis, dphi, dphis = _step(a[i], uu, phi, phis, dphi, dphis)
-            sc = _rescale(phi, phis, dphi, dphis, log_scale)
-            if sc is not None:
-                sc2 = sc * sc
-                k_zz /= sc2
-                k_zzbar /= sc2
-                k10_zz /= sc2
-                k10_zzbar /= sc2
-                k11_zz /= sc2
-    ls = 2.0 * log_scale
-    if scalar:
-        return KernelBundle(n, complex(uu[0]), float(k_zz[0]),
-                            complex(k_zzbar[0]), complex(k10_zz[0]),
-                            complex(k10_zzbar[0]),
-                            complex(np.conj(k10_zzbar[0])), float(k11_zz[0]),
-                            float(ls[0]))
-    return KernelBundle(n, uu, k_zz, k_zzbar, k10_zz, k10_zzbar,
-                        np.conj(k10_zzbar), k11_zz, ls)
+        k, kb, k10, k10b, k11 = sums
+        return (au2 * k + _abs2(phis),
+                u2 * kb + phis * phis,
+                ub * k + au2 * k10 + dphis * np.conj(phis),
+                uu * kb + u2 * k10b + dphis * phis,
+                k + 2.0 * np.real(uu * k10) + au2 * k11 + _abs2(dphis))
+
+    return _kernel_sums(alpha, n, u, add)
 
 
 def kernel_direct(alpha, n, z, w):
     """(K_n, K_n^{(1,0)}, K_n^{(1,1)})(z, w) by direct summation."""
     if n < 1:
         raise OutOfDomainError("kernel sums need n >= 1")
-    seq = as_verblunsky(alpha)
-    a = seq.array(max(n - 1, 0))
-    zc = complex(z)
-    wc = complex(w)
-    # joint sweep at z and w; one-element arrays so _rescale applies in place
-    pz = np.array([1 + 0j]); psz = np.array([1 + 0j])
-    dpz = np.array([0j]); dpsz = np.array([0j])
-    pw = np.array([1 + 0j]); psw = np.array([1 + 0j])
-    dpw = np.array([0j]); dpsw = np.array([0j])
-    ls_z = np.zeros(1)
-    ls_w = np.zeros(1)
-    k = 0j
-    k10 = 0j
-    k11 = 0j
-    for i in range(n):
-        cw = np.conj(pw[0])
-        k += pz[0] * cw
-        k10 += dpz[0] * cw
-        k11 += dpz[0] * np.conj(dpw[0])
-        if i < n - 1:
-            pz[0], psz[0], dpz[0], dpsz[0] = _step(a[i], zc, pz[0], psz[0], dpz[0], dpsz[0])
-            sc = _rescale(pz, psz, dpz, dpsz, ls_z)
-            scz = 1.0 if sc is None else sc[0]
-            pw[0], psw[0], dpw[0], dpsw[0] = _step(a[i], wc, pw[0], psw[0], dpw[0], dpsw[0])
-            sc = _rescale(pw, psw, dpw, dpsw, ls_w)
-            scw = 1.0 if sc is None else sc[0]
-            if scz != 1.0 or scw != 1.0:
-                f = scz * scw
-                k /= f
-                k10 /= f
-                k11 /= f
-    return ScaledKernel(k, k10, k11, float(ls_z[0] + ls_w[0]))
+    a = as_verblunsky(alpha).array(n - 1)
+    k = k10 = k11 = 0j
+    log_scale = np.zeros(2)
+    # one joint sweep at z and w; each term pairs a value at z with one at
+    # w, so a rescale divides the sums by the product of both factors
+    for phi, _, dphi, _, sc in _sweep(a, np.array([complex(z), complex(w)])):
+        if sc is not None:
+            log_scale += np.log(sc)
+            f = sc[0] * sc[1]
+            k /= f
+            k10 /= f
+            k11 /= f
+        cw = np.conj(phi[1])
+        k += phi[0] * cw
+        k10 += dphi[0] * cw
+        k11 += dphi[0] * np.conj(dphi[1])
+    return ScaledKernel(k, k10, k11, float(log_scale[0] + log_scale[1]))
 
 
 def kernel_cd(alpha, n, z, w):

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import RootFindingError
+from .errors import OutOfDomainError, RootFindingError
 from .expectation import (AnnularSector, RealInterval, ScalingWindow,
                           WholePlane, WholeRealLine)
-from .szego import as_verblunsky
+from .szego import as_verblunsky, monic_step
 
 log = logging.getLogger(__name__)
 
@@ -37,9 +37,9 @@ class SampleBatch:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise OutOfDomainError("trials must be >= 1")
         if self.n < 2:
-            raise ValueError("sampling needs n >= 2")
+            raise OutOfDomainError("sampling needs n >= 2")
 
 
 @dataclass
@@ -54,19 +54,14 @@ class ZeroCountReport:
 def basis_matrix(alpha, n):
     """Rows i < n hold the ascending monomial coefficients of phi_i."""
     a = as_verblunsky(alpha).array(max(n - 1, 0))
+    # phi_i = kappa_i Phi_i with kappa_i = prod_{k<i} (1 - alpha_k^2)^(-1/2)
+    kappa = np.cumprod(np.concatenate([[1.0], 1.0 / np.sqrt(1.0 - a * a)]))
     B = np.zeros((n, n))
-    c = np.zeros(n)
-    cs = np.zeros(n)
-    c[0] = 1.0
-    cs[0] = 1.0
-    B[0] = c
+    B[0, 0] = 1.0
+    c = np.array([1.0])
     for i in range(n - 1):
-        s = 1.0 / math.sqrt(1.0 - a[i] * a[i])
-        shifted = np.concatenate([[0.0], c[:-1]])
-        c_new = (shifted - a[i] * cs) * s
-        cs_new = (cs - a[i] * shifted) * s
-        c, cs = c_new, cs_new
-        B[i + 1] = c
+        c = monic_step(c, a[i])
+        B[i + 1, :i + 2] = kappa[i + 1] * c
     return B
 
 
@@ -122,6 +117,19 @@ def is_real_root(roots):
     return np.abs(roots.imag) <= REAL_ROOT_TOL * (1.0 + np.abs(roots))
 
 
+def _count_in_sector(roots, theta1, theta2, r1, r2):
+    """Strictly nonreal roots with r1 < |z| < r2 and arg z in the arc.
+
+    Planar regions count strictly nonreal zeros, matching the
+    complex-intensity quadrature; real zeros belong to line regions.
+    """
+    roots = roots[~is_real_root(roots)]
+    r = np.abs(roots)
+    lo = np.mod(theta1, 2.0 * np.pi)
+    rel = np.mod(np.mod(np.angle(roots), 2.0 * np.pi) - lo, 2.0 * np.pi)
+    return int(np.count_nonzero((r > r1) & (r < r2) & (rel < theta2 - theta1)))
+
+
 def _count_one(roots, region):
     if isinstance(region, WholePlane):
         return len(roots)
@@ -132,44 +140,30 @@ def _count_one(roots, region):
         xr = roots.real[mask]
         return int(np.count_nonzero((region.a <= xr) & (xr <= region.b)))
     if isinstance(region, AnnularSector):
-        # planar regions count strictly nonreal zeros, matching the
-        # complex-intensity quadrature; real zeros belong to line regions
-        roots = roots[~is_real_root(roots)]
-        r = np.abs(roots)
-        ang = np.mod(np.angle(roots), 2.0 * np.pi)
-        within = (r > 1.0 - region.delta) & (r < 1.0 + region.delta)
-        lo = np.mod(region.theta1, 2.0 * np.pi)
-        span = region.theta2 - region.theta1
-        rel = np.mod(ang - lo, 2.0 * np.pi)
-        return int(np.count_nonzero(within & (rel < span)))
+        return _count_in_sector(roots, region.theta1, region.theta2,
+                                1.0 - region.delta, 1.0 + region.delta)
     if isinstance(region, ScalingWindow):
         # radial window scales with the batch degree, carried on the region
         raise ValueError("use count_in_scaling_window with an explicit n")
     raise ValueError("unsupported region %r" % (region,))
 
 
-def count_in_region(roots_list, region):
-    """Per-trial counts with mean and standard error."""
-    counts = np.array([_count_one(r, region) for r in roots_list], dtype=float)
+def _report(region, counts):
+    counts = np.array(counts, dtype=float)
     mean = float(np.mean(counts))
     se = float(np.std(counts, ddof=1) / math.sqrt(len(counts))) if len(counts) > 1 else 0.0
     return ZeroCountReport(region=region, mean_count=mean, std_error=se,
                            trials=len(counts), counts=counts)
 
 
+def count_in_region(roots_list, region):
+    """Per-trial counts with mean and standard error."""
+    return _report(region, [_count_one(r, region) for r in roots_list])
+
+
 def count_in_scaling_window(roots_list, window, n):
     """Counts in {r e^{i theta}: r in (1 + tau1/2n, 1 + tau2/2n), theta in arc}."""
     r1 = 1.0 + window.tau1 / (2.0 * n)
     r2 = 1.0 + window.tau2 / (2.0 * n)
-    lo = np.mod(window.theta1, 2.0 * np.pi)
-    span = window.theta2 - window.theta1
-    counts = np.empty(len(roots_list))
-    for i, roots in enumerate(roots_list):
-        roots = roots[~is_real_root(roots)]
-        r = np.abs(roots)
-        rel = np.mod(np.mod(np.angle(roots), 2.0 * np.pi) - lo, 2.0 * np.pi)
-        counts[i] = np.count_nonzero((r > r1) & (r < r2) & (rel < span))
-    mean = float(np.mean(counts))
-    se = float(np.std(counts, ddof=1) / math.sqrt(len(counts))) if len(counts) > 1 else 0.0
-    return ZeroCountReport(region=window, mean_count=mean, std_error=se,
-                           trials=len(counts), counts=counts)
+    return _report(window, [_count_in_sector(r, window.theta1, window.theta2, r1, r2)
+                            for r in roots_list])

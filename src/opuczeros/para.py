@@ -6,12 +6,13 @@ All zeros are simple and lie on the unit circle; the attached weights
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .errors import OutOfDomainError, RootFindingError
 from .kernels import kernel_bundle
-from .szego import as_verblunsky, evaluate, kappa_log
+from .szego import as_verblunsky, evaluate, monic_step
 
 _CIRCLE_TOL = 1e-8
 
@@ -24,25 +25,13 @@ class ParaSpectrum:
     weights: np.ndarray = field(repr=False)
 
 
-def monic_coeffs(alpha, n):
-    """Ascending monomial coefficients of (Phi_n, Phi_n^*)."""
-    a = as_verblunsky(alpha).array(n)
-    c = np.array([1.0])
-    cs = np.array([1.0])
-    for k in range(n):
-        shifted = np.concatenate([[0.0], c])
-        c_new = shifted - a[k] * np.concatenate([cs, [0.0]])
-        cs_new = np.concatenate([cs, [0.0]]) - a[k] * shifted
-        c, cs = c_new, cs_new
-    return c, cs
-
-
 def para_coeffs(alpha, n, beta=1.0):
     """Ascending monomial coefficients of Phi_n(z; beta)."""
     if n < 1:
         raise OutOfDomainError("paraorthogonal polynomials need n >= 1")
-    c, cs = monic_coeffs(alpha, n - 1)
-    return np.concatenate([[0.0], c]) - beta * np.concatenate([cs, [0.0]])
+    # Phi_n(z; beta) is the monic recurrence's last step with alpha_{n-1} = beta
+    a = np.append(as_verblunsky(alpha).array(n - 1), beta)
+    return reduce(monic_step, a, np.array([1.0]))
 
 
 def para_poly(alpha, n, beta, z):

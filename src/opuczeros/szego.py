@@ -1,9 +1,11 @@
 """Szegő recurrence evaluation of orthonormal polynomials on the unit circle.
 
-All evaluations propagate the orthonormalized quadruple
-(phi_n, phi_n^*, phi_n', (phi_n^*)') jointly.  Stored values are mantissas;
-true values equal stored values times exp(log_scale), with a shared exponent
-per evaluation point so that downstream ratio formulas never see the scale.
+One engine, ``_sweep``, propagates the orthonormalized quadruple
+(phi_k, phi_k^*, phi_k', (phi_k^*)') jointly and yields it at every degree;
+``evaluate`` and the kernel sums are folds over it.  Real points sweep in
+float64.  Stored values are mantissas; true values equal stored values times
+exp(log_scale), with a shared exponent per evaluation point so that
+downstream ratio formulas never see the scale.
 """
 
 import math
@@ -43,29 +45,15 @@ class VerblunskySequence:
     memo is guarded by a lock so concurrent readers are safe.
     """
 
-    def __init__(self, values=None, generator=None, length_hint=None):
+    def __init__(self, values=None, generator=None):
         if (values is None) == (generator is None):
             raise InvalidCoefficientError("provide exactly one of values/generator")
         self._lock = threading.Lock()
         self._gen = generator
         if values is not None:
             self._buf = _validate_block(values)
-            self.length_hint = len(self._buf)
         else:
             self._buf = np.empty(0, dtype=float)
-            self.length_hint = length_hint
-
-    @classmethod
-    def from_file(cls, path):
-        """Load one real coefficient per line; blank lines and # comments skipped."""
-        vals = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                vals.append(float(line))
-        return cls(values=vals)
 
     def array(self, n):
         """First n coefficients as a read-only ndarray."""
@@ -111,11 +99,11 @@ class SzegoEval:
         return self.phi * s, self.phi_star * s, self.dphi * s, self.dphi_star * s
 
 
-def _rescale(phi, phis, dphi, dphis, log_scale):
+def _rescale(phi, phis, dphi, dphis):
     """Pull the four mantissas back into [1e-100, 1e100] by a power of 2.
 
-    Returns the applied factor (ones where untouched) so accumulator sweeps
-    can mirror the adjustment.
+    Divides in place and returns the applied factor (ones where untouched),
+    or None when no point needed it.
     """
     m = np.maximum(np.maximum(np.abs(phi), np.abs(phis)),
                    np.maximum(np.abs(dphi), np.abs(dphis)))
@@ -127,7 +115,6 @@ def _rescale(phi, phis, dphi, dphis, log_scale):
     phis /= sc
     dphi /= sc
     dphis /= sc
-    log_scale += np.log(sc)
     return sc
 
 
@@ -142,6 +129,39 @@ def _step(a, z, phi, phis, dphi, dphis):
     return new_phi, new_phis, new_dphi, new_dphis
 
 
+def _points(z):
+    """z as a 1-d float64 or complex128 array (ints and float32 promote)."""
+    zz = np.atleast_1d(np.asarray(z))
+    return zz.astype(np.promote_types(zz.dtype, np.float64), copy=False)
+
+
+def _sweep(a, z):
+    """Run the Szegő recurrence with coefficients a at the points array z.
+
+    Yields (phi, phis, dphi, dphis, sc) for degrees k = 0..len(a): the
+    mantissas of phi_k, phi_k^*, phi_k', (phi_k^*)' in z's dtype, and the
+    power-of-2 factor the step into degree k divided them by (None when no
+    point was rescaled).  A consumer adds log(sc) to its log scale and
+    divides by sc whatever it accumulated from lower degrees.
+    """
+    phi = np.ones_like(z)
+    phis = np.ones_like(z)
+    dphi = np.zeros_like(z)
+    dphis = np.zeros_like(z)
+    yield phi, phis, dphi, dphis, None
+    for ak in a:
+        phi, phis, dphi, dphis = _step(ak, z, phi, phis, dphi, dphis)
+        yield phi, phis, dphi, dphis, _rescale(phi, phis, dphi, dphis)
+
+
+def monic_step(c, a):
+    """Phi_{k+1} = z Phi_k - a Phi_k^* on ascending monomial coefficients.
+
+    For real coefficients Phi_k^* is Phi_k reversed, so c alone carries both.
+    """
+    return np.concatenate([[0.0], c]) - a * np.concatenate([c[::-1], [0.0]])
+
+
 def kappa_log(alpha, n):
     """log kappa_n = -(1/2) sum_{k<n} log(1 - alpha_k^2)."""
     a = as_verblunsky(alpha).array(n)
@@ -149,25 +169,20 @@ def kappa_log(alpha, n):
 
 
 def evaluate(alpha, n, z):
-    """Evaluate (phi_n, phi_n^*, phi_n', (phi_n^*)') at z (scalar or array)."""
+    """Evaluate (phi_n, phi_n^*, phi_n', (phi_n^*)') at z; real arrays stay real."""
     if n < 0:
         raise InvalidCoefficientError("degree must be nonnegative")
     seq = as_verblunsky(alpha)
-    a = seq.array(n)
-    scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
+    zz = _points(z)
     if not np.all(np.isfinite(zz)):
         raise OutOfDomainError("evaluation point must be finite")
-    phi = np.ones_like(zz)
-    phis = np.ones_like(zz)
-    dphi = np.zeros_like(zz)
-    dphis = np.zeros_like(zz)
-    log_scale = np.zeros(zz.shape, dtype=float)
-    for k in range(n):
-        phi, phis, dphi, dphis = _step(a[k], zz, phi, phis, dphi, dphis)
-        _rescale(phi, phis, dphi, dphis, log_scale)
+    log_scale = np.zeros(zz.shape)
+    # the last values the sweep yields are those of degree n
+    for phi, phis, dphi, dphis, sc in _sweep(seq.array(n), zz):
+        if sc is not None:
+            log_scale += np.log(sc)
     kl = kappa_log(seq, n)
-    if scalar:
+    if np.ndim(z) == 0:
         return SzegoEval(n, complex(zz[0]), complex(phi[0]), complex(phis[0]),
                          complex(dphi[0]), complex(dphis[0]), float(log_scale[0]), kl)
     return SzegoEval(n, zz, phi, phis, dphi, dphis, log_scale, kl)

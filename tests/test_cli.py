@@ -149,11 +149,24 @@ def test_config_file_supplies_defaults(tmp_path):
 
 
 def test_input_error_exit_code(capsys):
-    assert main(["intensity", "--ensemble", "nonsense", "--n", "8",
-                 "--real-grid=-1:1:5"]) == 2
-    assert main(["intensity", "--n", "8", "--real-grid", "badgrid"]) == 2
-    assert main(["expected-zeros", "--n", "4", "--region", "mystery"]) == 2
-    capsys.readouterr()
+    cases = [
+        ["intensity", "--ensemble", "nonsense", "--n", "8", "--real-grid=-1:1:5"],
+        ["intensity", "--n", "8", "--real-grid", "badgrid"],
+        ["expected-zeros", "--n", "4", "--region", "mystery"],
+        ["expected-zeros", "--n", "0"],
+        ["expected-zeros", "--n", "-3"],
+        ["expected-zeros", "--n", "abc"],
+        ["expected-zeros", "--n", "4", "--region", "annulus:0:1"],
+        ["expected-zeros", "--n", "4", "--region", "real:0"],
+        ["mc", "--n", "1"],
+        ["mc", "--n", "8", "--trials", "0"],
+        ["mc", "--n", "8", "--trials", "x"],
+        ["scaling-limit", "--tau-grid", "0:1:x"],
+    ]
+    for argv in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_missing_config_file_is_input_error(tmp_path, capsys):

@@ -7,11 +7,13 @@ from opuczeros import (OutOfDomainError, VerblunskySequence, complex_intensity,
                        growth_log_derivative, limit_complex_density,
                        limit_real_density, real_intensity_closed,
                        real_intensity_kernel, scaling_limit_density)
-from opuczeros.intensity import (h_alt, h_closed, h_kac,
+from opuczeros.intensity import (complex_intensity_grid,
+                                 complex_intensity_reversed_grid,
+                                 h_alt, h_closed, h_kac,
                                  real_intensity_closed_grid,
                                  real_intensity_grid,
                                  real_intensity_kernel_grid)
-from opuczeros.ensembles import materialize, power_decay
+from opuczeros.ensembles import free as free_spec, materialize, power_decay
 from opuczeros._quad import adaptive_gl
 
 
@@ -202,3 +204,17 @@ def test_grid_matches_scalar():
     gridk = real_intensity_kernel_grid(al, 4, xs)
     for x, g in zip(xs, gridk):
         assert abs(g - real_intensity_kernel(al, 4, x).rho) < 1e-14
+
+
+def test_exterior_intensity_is_finite_and_self_consistent():
+    # zeros of P_n at z are zeros of the reversed polynomial at u = 1/z, so
+    # rho(z) = |u|^4 rho_rev(u); the direct sums reach K_n^2 ~ n^2 1e200
+    r = np.linspace(1.4, 2.0, 7)
+    theta = np.linspace(0.3, math.pi - 0.3, 15)
+    z = (r[:, None] * np.exp(1j * theta[None, :])).ravel()
+    for spec, n in ((free_spec(), 300), (power_decay(0.3, 2), 256)):
+        al = materialize(spec, n)
+        rho = complex_intensity_grid(al, n, z)
+        assert np.all(np.isfinite(rho)) and np.all(rho > 0.0)
+        ref = np.abs(z) ** -4 * complex_intensity_reversed_grid(al, n, 1.0 / z)
+        assert np.max(np.abs(rho - ref) / ref) < 1e-6

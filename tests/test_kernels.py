@@ -5,6 +5,7 @@ import pytest
 
 from opuczeros import (OutOfDomainError, VerblunskySequence, christoffel,
                        evaluate, kernel_bundle, kernel_cd, kernel_direct)
+from opuczeros.kernels import reversed_kernel_bundle
 
 
 def free():
@@ -134,3 +135,51 @@ def test_christoffel_extremal_property():
             sol = np.linalg.solve(G, np.conj(row0))
             lam = 1.0 / np.real(row0 @ sol)
             assert abs(lam - christoffel(free(), n, z0)) < 1e-6
+
+
+def _large_alphas(n, seed):
+    # |alpha_k| in (0.7, 0.9): kappa_n, and with it phi_n^* inside the disk,
+    # grows past the 1e100 mantissa bound long before degree 600
+    rng = np.random.default_rng(seed)
+    return VerblunskySequence(values=rng.choice([-1.0, 1.0], n)
+                              * rng.uniform(0.7, 0.9, n))
+
+
+def _rel_scaled(v, ls, ref, ref_ls):
+    """Relative distance between v e^ls and ref e^ref_ls."""
+    return abs(v * math.exp(ls - ref_ls) - ref) / abs(ref)
+
+
+def test_kernel_sums_agree_through_rescale_events():
+    n = 600
+    for seed in (16, 17):
+        al = _large_alphas(n, seed)
+        for z in (1.6 * np.exp(0.7j), 1.6 * np.exp(2.5j)):
+            b = kernel_bundle(al, n, z)
+            assert b.log_scale > 0.0
+            for w, k, k10 in ((z, b.k_zz, b.k10_zz),
+                              (np.conj(z), b.k_zzbar, b.k10_zzbar)):
+                for ref in (kernel_direct(al, n, z, w), kernel_cd(al, n, z, w)):
+                    assert ref.log_scale > 0.0
+                    assert _rel_scaled(k, b.log_scale, ref.k, ref.log_scale) < 1e-12
+                    assert _rel_scaled(k10, b.log_scale, ref.k10, ref.log_scale) < 1e-12
+                    if w == z:
+                        assert _rel_scaled(b.k11_zz, b.log_scale,
+                                           ref.k11, ref.log_scale) < 1e-12
+
+
+def test_reversed_kernel_through_rescale_events():
+    # psi_i(u) = u^(n-1) conj(phi_i(1/conj u)), so the reversed diagonal sum is
+    # |u|^(2(n-1)) K_n(1/conj u, 1/conj u)
+    n = 600
+    for seed in (16, 17):
+        al = _large_alphas(n, seed)
+        for r in (0.3, 0.6):
+            u = r * np.exp(1.1j)
+            rb = reversed_kernel_bundle(al, n, u)
+            assert rb.log_scale > 0.0
+            kb = kernel_bundle(al, n, 1.0 / np.conj(u))
+            lhs = math.log(rb.k_zz) + rb.log_scale
+            power = 2.0 * (n - 1) * math.log(r)
+            rest = math.log(kb.k_zz) + kb.log_scale
+            assert abs(lhs - (power + rest)) <= 1e-13 * (abs(power) + abs(rest))
