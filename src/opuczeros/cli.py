@@ -138,7 +138,8 @@ def _cmd_expected_zeros(args):
     ns = [_parse_number(v, "--n") for v in str(args.n).split(",")]
     region_text = args.region or "real"
     region = _parse_region(region_text)
-    tol = args.tolerance if args.tolerance is not None else 1e-8
+    tol = (_parse_number(args.tolerance, "--tolerance", float)
+           if args.tolerance is not None else 1e-8)
     config = {"command": "expected-zeros", "ensemble": spec.label(),
               "n": args.n, "region": region_text, "tolerance": tol}
     rows = []
@@ -221,7 +222,8 @@ def _cmd_geronimus_check(args):
 def _cmd_conservation_check(args):
     spec = parse_ensemble(args.ensemble or "free")
     n = _parse_number(args.n, "--n")
-    tol = args.tolerance if args.tolerance is not None else 1e-4
+    tol = (_parse_number(args.tolerance, "--tolerance", float)
+           if args.tolerance is not None else 1e-4)
     alpha = materialize(spec, n)
     result = conservation_check(alpha, n, tol=tol)
     config = {"command": "conservation-check", "ensemble": spec.label(),
@@ -252,7 +254,7 @@ def build_parser():
     common(p)
     p.add_argument("--n", required=True, help="degree or comma list")
     p.add_argument("--region")
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--tolerance")
     p.set_defaults(func=_cmd_expected_zeros)
 
     p = sub.add_parser("para-spectrum", help="paraorthogonal zeros/weights (CSV)")
@@ -284,7 +286,7 @@ def build_parser():
     p = sub.add_parser("conservation-check", help="real+complex count vs n-1 (JSON)")
     common(p)
     p.add_argument("--n", required=True)
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--tolerance")
     p.set_defaults(func=_cmd_conservation_check)
 
     return parser

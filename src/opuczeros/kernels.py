@@ -27,7 +27,7 @@ def _abs2(v):
 
 @dataclass
 class KernelBundle:
-    """The six kernel quantities entering the complex intensity at a point z.
+    """The five kernel quantities entering the complex intensity at a point z.
 
     True values are the stored fields times exp(log_scale).  For real
     coefficients one sweep at z suffices: phi_i(conj z) = conj(phi_i(z)).
@@ -39,7 +39,6 @@ class KernelBundle:
     k_zzbar: complex     # K_n(z, conj z)
     k10_zz: complex      # K_n^{(1,0)}(z, z)
     k10_zzbar: complex   # K_n^{(1,0)}(z, conj z)
-    k10_zbarz: complex   # K_n^{(1,0)}(conj z, z)
     k11_zz: float        # K_n^{(1,1)}(z, z), real nonnegative
     log_scale: float
 
@@ -68,9 +67,9 @@ def _kernel_sums(alpha, n, z, add):
     ls = 2.0 * log_scale
     if np.ndim(z) == 0:
         return KernelBundle(n, complex(zz[0]), float(k[0]), complex(kb[0]),
-                            complex(k10[0]), complex(k10b[0]),
-                            complex(np.conj(k10b[0])), float(k11[0]), float(ls[0]))
-    return KernelBundle(n, zz, k, kb, k10, k10b, np.conj(k10b), k11, ls)
+                            complex(k10[0]), complex(k10b[0]), float(k11[0]),
+                            float(ls[0]))
+    return KernelBundle(n, zz, k, kb, k10, k10b, k11, ls)
 
 
 def kernel_bundle(alpha, n, z):

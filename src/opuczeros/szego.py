@@ -57,6 +57,8 @@ class VerblunskySequence:
 
     def array(self, n):
         """First n coefficients as a read-only ndarray."""
+        if n < 0:
+            raise InvalidCoefficientError("requested %d coefficients" % n)
         if n <= len(self._buf):
             return self._buf[:n]
         if self._gen is None:

@@ -163,10 +163,22 @@ def test_input_error_exit_code(capsys):
         ["mc", "--n", "8", "--trials", "x"],
         ["scaling-limit", "--tau-grid", "0:1:x"],
     ]
+    for command in ("expected-zeros", "conservation-check"):
+        cases += [[command, "--n", "4", "--tolerance", tol]
+                  for tol in ("x", "0", "-1", "nan", "inf")]
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_tolerance_from_config_file_is_checked(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerance": "x"}))
+    for command in ("expected-zeros", "conservation-check"):
+        assert main([command, "--n", "4", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
 
 
 def test_missing_config_file_is_input_error(tmp_path, capsys):

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from opuczeros import QuadratureError
-from opuczeros._quad import adaptive_gl, adaptive_gl_2d
+from opuczeros import (AnnularSector, OutOfDomainError, QuadratureError,
+                       expectation, expected_complex_zeros, expected_real_zeros,
+                       real_intensity_grid)
+from opuczeros._quad import _CHUNK, adaptive_gl, adaptive_gl_2d
+from opuczeros.ensembles import free, materialize
 
 
 def test_non_finite_1d_estimate_raises():
@@ -21,3 +26,98 @@ def test_unsplittable_panel_raises():
         adaptive_gl(lambda x: 1 / (x - 1 + 1e-300), 1.0, np.nextafter(1.0, 2.0),
                     tol=1e-12)
 
+
+
+def test_lorentzian_1d_against_closed_form():
+    eps, tol = 1e-3, 1e-10
+    exact = 2.0 / eps * math.atan(1.0 / eps)
+    value, err = adaptive_gl(lambda x: 1.0 / (x * x + eps * eps), -1.0, 1.0, tol=tol)
+    assert err <= tol * exact
+    assert abs(value - exact) <= tol * exact
+
+
+def _peak(x, y, s=0.02):
+    return np.exp(-((x - 0.3) ** 2 + (y + 0.2) ** 2) / (2.0 * s * s))
+
+
+def _peak_exact(s=0.02):
+    def side(c):
+        return s * math.sqrt(math.pi / 2.0) * (math.erf((1.0 - c) / (s * math.sqrt(2.0)))
+                                               - math.erf((-1.0 - c) / (s * math.sqrt(2.0))))
+    return side(0.3) * side(-0.2)
+
+
+def test_peaked_gaussian_2d_against_closed_form():
+    tol = 1e-8
+    value, err = adaptive_gl_2d(_peak, (-1.0, 1.0), (-1.0, 1.0), tol=tol)
+    assert err <= tol
+    assert abs(value - _peak_exact()) <= tol
+
+
+def test_integrand_calls_never_exceed_the_chunk():
+    sizes = []
+
+    def f(x, y):
+        sizes.append(np.size(x))
+        return _peak(x, y)
+
+    # 20 x 20 starting rectangles of 320 nodes each: 31.25 chunks' worth
+    cuts = np.linspace(-1.0, 1.0, 21)[1:-1]
+    adaptive_gl_2d(f, (-1.0, 1.0), (-1.0, 1.0), tol=1e-10, xsplits=cuts, ysplits=cuts)
+    assert max(sizes) == _CHUNK
+    assert sizes[:32] == [_CHUNK] * 31 + [400 * 320 - 31 * _CHUNK]
+
+
+def _counting(monkeypatch, name):
+    seen = {"calls": 0, "points": 0}
+    rho = getattr(expectation, name)
+
+    def counted(seq, n, z, *args, **kwargs):
+        seen["calls"] += 1
+        seen["points"] += np.size(z)
+        return rho(seq, n, z, *args, **kwargs)
+
+    monkeypatch.setattr(expectation, name, counted)
+    return seen
+
+
+def test_a_round_is_evaluated_in_few_integrand_calls(monkeypatch):
+    # one Szegő sweep per integrand call: a whole level of panels shares it
+    seen = _counting(monkeypatch, "real_intensity_grid")
+    expected_real_zeros(materialize(free(), 4096), 4096, tol=1e-6)
+    assert seen["calls"] <= 12
+
+    seen = _counting(monkeypatch, "complex_intensity_grid")
+    expected_complex_zeros(materialize(free(), 64), 64,
+                           AnnularSector(0.0, math.pi, 0.3), tol=1e-6)
+    assert seen["calls"] <= 60
+    assert seen["points"] <= 1.25 * 115200
+
+
+def test_panel_budget_exhaustion_raises():
+    with pytest.raises(QuadratureError, match="panel budget"):
+        adaptive_gl(lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), 0.0, 1.0,
+                    tol=1e-15, max_panels=8)
+    with pytest.raises(QuadratureError, match="panel budget"):
+        adaptive_gl_2d(_peak, (-1.0, 1.0), (-1.0, 1.0), tol=1e-12, max_rects=8)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tolerance_that_cannot_converge_is_rejected(tol):
+    with pytest.raises(OutOfDomainError):
+        adaptive_gl(np.cos, 0.0, 1.0, tol=tol)
+    with pytest.raises(OutOfDomainError):
+        adaptive_gl_2d(_peak, (0.0, 1.0), (0.0, 1.0), tol=tol)
+
+
+def test_repeated_calls_are_bit_identical():
+    alpha = materialize(free(), 16)
+    region = AnnularSector(0.0, math.pi, 0.3)
+    first = expected_complex_zeros(alpha, 16, region, tol=1e-6)
+    second = expected_complex_zeros(alpha, 16, region, tol=1e-6)
+    assert (first.value, first.error) == (second.value, second.error)
+
+    def f(x):
+        return real_intensity_grid(alpha, 16, x)
+
+    assert adaptive_gl(f, -1.0, 1.0, tol=1e-12) == adaptive_gl(f, -1.0, 1.0, tol=1e-12)

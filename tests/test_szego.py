@@ -134,6 +134,14 @@ def test_coefficient_validation():
         VerblunskySequence(values=[-1.0])
 
 
+def test_negative_coefficient_count_raises():
+    al = VerblunskySequence(values=[0.5] * 3)
+    with pytest.raises(InvalidCoefficientError):
+        al.array(-1)
+    with pytest.raises(InvalidCoefficientError):
+        kappa_log(al, -1)
+
+
 def test_generator_memoization_is_stable():
     calls = []
 
