@@ -82,8 +82,6 @@ def expected_real_zeros(alpha, n, region=WholeRealLine(), tol=1e-9):
     """Expected number of real zeros of P_n over the region."""
     _check_degree(n)
     seq = as_verblunsky(alpha)
-    if n == 1:
-        return QuadResult(0.0, 0.0, None)
 
     def f(x):
         return real_intensity_grid(seq, n, x)

@@ -46,10 +46,10 @@ class KernelBundle:
 def _kernel_sums(alpha, n, z, add):
     """KernelBundle of the sums over i = 0..n-1, folded over one sweep at z.
 
-    add(sums, phi, phis, dphi, dphis) returns the five sums (K(z, z),
-    K(z, conj z), K^{(1,0)}(z, z), K^{(1,0)}(z, conj z), K^{(1,1)}(z, z)) with
-    the degree-i term folded in.  Every term is quadratic in the sweep
-    values, so a rescale by sc divides every sum by sc^2.
+    add(sums, P, S) returns the five sums (K(z, z), K(z, conj z),
+    K^{(1,0)}(z, z), K^{(1,0)}(z, conj z), K^{(1,1)}(z, z)) with the degree-i
+    term of the stacked sweep values folded in.  Every term is quadratic in
+    the sweep values, so a rescale by sc divides every sum by sc^2.
     """
     if n < 1:
         raise OutOfDomainError("kernel sums need n >= 1")
@@ -57,12 +57,12 @@ def _kernel_sums(alpha, n, z, add):
     zz = _points(z)
     log_scale = np.zeros(zz.shape)
     sums = (0.0,) * 5
-    for phi, phis, dphi, dphis, sc in _sweep(a, zz):
+    for P, S, sc in _sweep(a, zz):
         if sc is not None:
             log_scale += np.log(sc)
             sc2 = sc * sc
             sums = [s / sc2 for s in sums]
-        sums = add(sums, phi, phis, dphi, dphis)
+        sums = add(sums, P, S)
     k, kb, k10, k10b, k11 = sums
     ls = 2.0 * log_scale
     if np.ndim(z) == 0:
@@ -73,14 +73,25 @@ def _kernel_sums(alpha, n, z, add):
 
 
 def kernel_bundle(alpha, n, z):
-    """All diagonal/anti-diagonal kernel sums over i = 0..n-1 at z."""
+    """All diagonal/anti-diagonal kernel sums over i = 0..n-1 at z.
 
-    def add(sums, phi, phis, dphi, dphis):
+    On real points phi_i(conj x) = phi_i(x) and _abs2(v) = v * v bit for
+    bit, so three sums are folded and K(x, conj x), K^{(1,0)}(x, conj x)
+    are the same arrays as K(x, x), K^{(1,0)}(x, x).
+    """
+
+    def add(sums, P, S):
         k, kb, k10, k10b, k11 = sums
+        phi, dphi = P
         return (k + _abs2(phi), kb + phi * phi, k10 + dphi * np.conj(phi),
                 k10b + dphi * phi, k11 + _abs2(dphi))
 
-    return _kernel_sums(alpha, n, z, add)
+    def add_real(sums, P, S):
+        phi, dphi = P
+        k, k10 = sums[0] + phi * phi, sums[2] + dphi * phi
+        return k, k, k10, k10, sums[4] + dphi * dphi
+
+    return _kernel_sums(alpha, n, z, add_real if np.isrealobj(z) else add)
 
 
 def reversed_kernel_bundle(alpha, n, u):
@@ -98,11 +109,12 @@ def reversed_kernel_bundle(alpha, n, u):
     u2 = uu * uu
     ub = np.conj(uu)
 
-    def add(sums, phi, phis, dphi, dphis):
+    def add(sums, P, S):
         # promote every previous term from u^(i-1-j) psi to u^(i-j) psi;
         # the derivative picks up the undifferentiated sums from one stage
         # back, then the fresh degree-i term enters with no power of u
         k, kb, k10, k10b, k11 = sums
+        phis, dphis = S
         return (au2 * k + _abs2(phis),
                 u2 * kb + phis * phis,
                 ub * k + au2 * k10 + dphis * np.conj(phis),
@@ -121,7 +133,7 @@ def kernel_direct(alpha, n, z, w):
     log_scale = np.zeros(2)
     # one joint sweep at z and w; each term pairs a value at z with one at
     # w, so a rescale divides the sums by the product of both factors
-    for phi, _, dphi, _, sc in _sweep(a, np.array([complex(z), complex(w)])):
+    for (phi, dphi), _, sc in _sweep(a, np.array([complex(z), complex(w)])):
         if sc is not None:
             log_scale += np.log(sc)
             f = sc[0] * sc[1]

@@ -6,6 +6,23 @@ One engine, ``_sweep``, propagates the orthonormalized quadruple
 float64.  Stored values are mantissas; true values equal stored values times
 exp(log_scale), with a shared exponent per evaluation point so that
 downstream ratio formulas never see the scale.
+
+The quadruple is stacked as P = [phi, phi'] and S = [phi^*, (phi^*)'], so a
+step is eight array operations: Q = z P, Q[1] += P[0], P = (Q - a S) s,
+S = (S - a Q) s with s = 1/sqrt(1 - a^2).  Every element sees the arithmetic
+of four separate updates (phi + z phi' only becomes z phi' + phi).
+
+The range check ``_rescale`` runs only when a mantissa could leave
+[1e-100, 1e100].  Per step the largest of the four moduli grows by at most
+the factor (1 + max|z| + |a|) s, and max(|phi|, |phi^*|) shrinks by at most
+(1 + |a|) s, no more than that (invert the step; |phi| <= |phi^*| on the
+closed disk).  Each check measures the headroom in bits, less one bit for
+rounding, and finds in prefix sums of the log2 growth bounds the first
+degree that could use it up; where phi and phi^* fall below 2e-100 (they
+underflow at x = +-1 for constant(0.5)) the check runs every step.  A check
+can come early but never late, so every rescale lands on the same degree
+with the same power of 2 as checking every step would: outputs, log scales
+included, are bit-identical.
 """
 
 import math
@@ -101,34 +118,26 @@ class SzegoEval:
         return self.phi * s, self.phi_star * s, self.dphi * s, self.dphi_star * s
 
 
-def _rescale(phi, phis, dphi, dphis):
-    """Pull the four mantissas back into [1e-100, 1e100] by a power of 2.
+def _rescale(P, S):
+    """Pull the stacked mantissas back into [1e-100, 1e100] by a power of 2.
 
-    Divides in place and returns the applied factor (ones where untouched),
-    or None when no point needed it.
+    Divides P and S in place.  Returns the applied factor (ones where
+    untouched; None when no point needed it) and the bits of headroom left:
+    how far the four-max may grow, or max(|phi|, |phi^*|) shrink, before a
+    mantissa could leave the range, less one bit for rounding.
     """
-    m = np.maximum(np.maximum(np.abs(phi), np.abs(phis)),
-                   np.maximum(np.abs(dphi), np.abs(dphis)))
+    aP, aS = np.abs(P), np.abs(S)
+    m = np.maximum(aP.max(0), aS.max(0))
+    low = np.maximum(aP[0], aS[0])
     mask = (m > _MAG_HIGH) | ((m > 0) & (m < _MAG_LOW))
-    if not np.any(mask):
-        return None
-    sc = np.where(mask, np.exp2(np.floor(np.log2(np.where(mask, m, 1.0)))), 1.0)
-    phi /= sc
-    phis /= sc
-    dphi /= sc
-    dphis /= sc
-    return sc
-
-
-def _step(a, z, phi, phis, dphi, dphis):
-    """One orthonormalized Szegő step with joint derivative propagation."""
-    s = 1.0 / math.sqrt(1.0 - a * a)
-    zphi = z * phi
-    new_phi = (zphi - a * phis) * s
-    new_dphi = (phi + z * dphi - a * dphis) * s
-    new_phis = (phis - a * zphi) * s
-    new_dphis = (dphis - a * (phi + z * dphi)) * s
-    return new_phi, new_phis, new_dphi, new_dphis
+    sc = None
+    if np.any(mask):
+        sc = np.where(mask, np.exp2(np.floor(np.log2(np.where(mask, m, 1.0)))), 1.0)
+        P /= sc
+        S /= sc
+        m, low = m / sc, low / sc
+    room = min(_MAG_HIGH / m.max(initial=1.0), low.min(initial=1.0) / _MAG_LOW)
+    return sc, (math.log2(room) - 1.0 if room > 0 else -1.0)
 
 
 def _points(z):
@@ -140,20 +149,34 @@ def _points(z):
 def _sweep(a, z):
     """Run the Szegő recurrence with coefficients a at the points array z.
 
-    Yields (phi, phis, dphi, dphis, sc) for degrees k = 0..len(a): the
-    mantissas of phi_k, phi_k^*, phi_k', (phi_k^*)' in z's dtype, and the
-    power-of-2 factor the step into degree k divided them by (None when no
-    point was rescaled).  A consumer adds log(sc) to its log scale and
+    Yields (P, S, sc) for degrees k = 0..len(a): P = [phi_k, phi_k'] and
+    S = [phi_k^*, (phi_k^*)'] are the stacked mantissas in z's dtype, and sc
+    the power-of-2 factor the step into degree k divided them by (None when
+    no point was rescaled).  A consumer adds log(sc) to its log scale and
     divides by sc whatever it accumulated from lower degrees.
     """
-    phi = np.ones_like(z)
-    phis = np.ones_like(z)
-    dphi = np.zeros_like(z)
-    dphis = np.zeros_like(z)
-    yield phi, phis, dphi, dphis, None
-    for ak in a:
-        phi, phis, dphi, dphis = _step(ak, z, phi, phis, dphi, dphis)
-        yield phi, phis, dphi, dphis, _rescale(phi, phis, dphi, dphis)
+    if not np.all(np.isfinite(z)):
+        raise OutOfDomainError("evaluation point must be finite")
+    P = np.zeros((2,) + z.shape, dtype=z.dtype)
+    P[0] = 1.0
+    S = P.copy()
+    s = 1.0 / np.sqrt(1.0 - a * a)
+    # bits[k]: log2 bound on the growth of the four-max over degrees 0..k,
+    # which also bounds the shrink of max(|phi|, |phi^*|)
+    bits = np.concatenate(([0.0], np.cumsum(np.log2(
+        (1.0 + np.max(np.abs(z), initial=0.0) + np.abs(a)) * s))))
+    due = 1
+    yield P, S, None
+    for k, (ak, s) in enumerate(zip(a.tolist(), s.tolist()), 1):
+        Q = z * P
+        Q[1] += P[0]
+        P = (Q - ak * S) * s
+        S = (S - ak * Q) * s
+        sc = None
+        if k == due:
+            sc, room = _rescale(P, S)
+            due = max(k + 1, int(np.searchsorted(bits, bits[k] + room, side="right")))
+        yield P, S, sc
 
 
 def monic_step(c, a):
@@ -176,13 +199,12 @@ def evaluate(alpha, n, z):
         raise InvalidCoefficientError("degree must be nonnegative")
     seq = as_verblunsky(alpha)
     zz = _points(z)
-    if not np.all(np.isfinite(zz)):
-        raise OutOfDomainError("evaluation point must be finite")
     log_scale = np.zeros(zz.shape)
     # the last values the sweep yields are those of degree n
-    for phi, phis, dphi, dphis, sc in _sweep(seq.array(n), zz):
+    for P, S, sc in _sweep(seq.array(n), zz):
         if sc is not None:
             log_scale += np.log(sc)
+    (phi, dphi), (phis, dphis) = P, S
     kl = kappa_log(seq, n)
     if np.ndim(z) == 0:
         return SzegoEval(n, complex(zz[0]), complex(phi[0]), complex(phis[0]),

@@ -99,6 +99,13 @@ def test_conservation_small_degrees():
         assert rep["target"] == n - 1
 
 
+def test_degree_one_checks_tolerance():
+    assert tuple(expected_real_zeros(free_seq(), 1)) == (0.0, 0.0, None)
+    for tol in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(OutOfDomainError):
+            expected_real_zeros(free_seq(), 1, tol=tol)
+
+
 def test_total_complex_zeros_free_small():
     # degree-3 free case: 3 zeros total, real part via quadrature
     real = expected_real_zeros(free_seq(), 4).value

@@ -136,6 +136,15 @@ def test_complex_intensity_rejects_real_points():
         complex_intensity(free(), 8, 0.5 + 0.0j)
 
 
+def test_intensities_reject_nonfinite_points():
+    with pytest.raises(OutOfDomainError):
+        complex_intensity_grid(free(), 8, [np.nan + 1j, 0.5j], degenerate="zero")
+    with pytest.raises(OutOfDomainError):
+        real_intensity_grid(free(), 8, [np.nan])
+    # the closed route evaluates x = inf at 1/x = 0, where the density is 0
+    assert real_intensity_grid(free(), 8, [np.inf])[0] == 0.0
+
+
 def test_complex_limit_value():
     # free ensemble at 0.5i approaches the limit density
     target = limit_complex_density(0.5j)

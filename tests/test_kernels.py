@@ -183,3 +183,13 @@ def test_reversed_kernel_through_rescale_events():
             power = 2.0 * (n - 1) * math.log(r)
             rest = math.log(kb.k_zz) + kb.log_scale
             assert abs(lhs - (power + rest)) <= 1e-13 * (abs(power) + abs(rest))
+
+
+def test_kernel_sums_reject_nonfinite_points():
+    for z in ([np.inf, 0.5], [0.5j, np.nan + 1j]):
+        with pytest.raises(OutOfDomainError):
+            kernel_bundle(free(), 8, z)
+        with pytest.raises(OutOfDomainError):
+            reversed_kernel_bundle(free(), 8, z)
+    with pytest.raises(OutOfDomainError):
+        kernel_direct(free(), 8, complex(np.nan, 0.0), 0.5)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from opuczeros import (InvalidCoefficientError, VerblunskySequence, blaschke,
-                       evaluate, kappa_log, regularity_epsilon)
-from opuczeros.ensembles import materialize, power_decay
+                       evaluate, kappa_log, regularity_epsilon, szego)
+from opuczeros.ensembles import constant, materialize, power_decay
+from opuczeros.kernels import (kernel_bundle, kernel_direct,
+                               reversed_kernel_bundle)
 
 
 def test_free_case_is_monomial():
@@ -174,3 +176,142 @@ def test_large_degree_outside_disk_does_not_overflow():
     ev = evaluate(al, 5000, 3.0)
     assert np.isfinite(ev.phi).all() if isinstance(ev.phi, np.ndarray) else np.isfinite(ev.phi)
     assert ev.log_scale > 1000.0  # ~ 5000 log 3
+
+
+def _oracle_sweep(a, z):
+    """Reference sweep: four separate arrays, a rescale check after every step."""
+    v = [np.ones_like(z), np.ones_like(z), np.zeros_like(z), np.zeros_like(z)]
+    yield v, None
+    for ak in a:
+        s = 1.0 / math.sqrt(1.0 - ak * ak)
+        phi, phis, dphi, dphis = v
+        zphi = z * phi
+        v = [(zphi - ak * phis) * s, (phis - ak * zphi) * s,
+             (phi + z * dphi - ak * dphis) * s, (dphis - ak * (phi + z * dphi)) * s]
+        m = np.maximum(np.maximum(np.abs(v[0]), np.abs(v[1])),
+                       np.maximum(np.abs(v[2]), np.abs(v[3])))
+        mask = (m > 1e100) | ((m > 0) & (m < 1e-100))
+        sc = None
+        if np.any(mask):
+            sc = np.where(mask, np.exp2(np.floor(np.log2(np.where(mask, m, 1.0)))), 1.0)
+            v = [x / sc for x in v]
+        yield v, sc
+
+
+def _abs2(v):
+    return v.real * v.real + v.imag * v.imag
+
+
+def _oracle_sums(a, z, add, pair=False):
+    """Fold add over the reference sweep, mirroring rescales on the sums."""
+    ls = np.zeros(z.shape)
+    sums = [0.0] * 5
+    for v, sc in _oracle_sweep(a, z):
+        if sc is not None:
+            ls += np.log(sc)
+            f = sc[0] * sc[1] if pair else sc * sc
+            sums = [t / f for t in sums]
+        sums = add(sums, *v)
+    return sums, ls
+
+
+def _bundle_terms(sums, phi, phis, dphi, dphis):
+    k, kb, k10, k10b, k11 = sums
+    return [k + _abs2(phi), kb + phi * phi, k10 + dphi * np.conj(phi),
+            k10b + dphi * phi, k11 + _abs2(dphi)]
+
+
+def _reversed_terms(u):
+    au2, u2, ub = _abs2(u), u * u, np.conj(u)
+
+    def add(sums, phi, phis, dphi, dphis):
+        k, kb, k10, k10b, k11 = sums
+        return [au2 * k + _abs2(phis), u2 * kb + phis * phis,
+                ub * k + au2 * k10 + dphis * np.conj(phis),
+                u * kb + u2 * k10b + dphis * phis,
+                k + 2.0 * np.real(u * k10) + au2 * k11 + _abs2(dphis)]
+
+    return add
+
+
+def _direct_terms(sums, phi, phis, dphi, dphis):
+    k, k10, k11 = sums[:3]
+    cw = np.conj(phi[1])
+    return [k + phi[0] * cw, k10 + dphi[0] * cw, k11 + dphi[0] * np.conj(dphi[1]),
+            0.0, 0.0]
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _large_alphas(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], n) * rng.uniform(0.7, 0.9, n)
+
+
+def test_sweep_bit_identical_to_reference():
+    # the scheduled rescale checks and the stacked state must reproduce the
+    # every-step reference exactly, rescale events and log scales included
+    rng = np.random.default_rng(21)
+    disk2 = 2.0 * np.sqrt(rng.uniform(0, 1, 24)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 24))
+    cases = [
+        (_large_alphas(600, 16), disk2),
+        (_large_alphas(600, 16), np.linspace(-2.0, 2.0, 17)),
+        (_large_alphas(600, 17), 0.8 * np.exp(1j * np.linspace(0.1, 3.0, 9))),
+        (_large_alphas(600, 17), np.array([0.0, 1e-8, 1e-6 * np.exp(0.3j)])),
+        (np.zeros(4096), np.concatenate([[0.0, 1e-8], np.linspace(-0.999, 0.999, 16)])),
+        # phi and phi^* underflow to 0 at x = 1 near degree 839 while phi' stays ~1
+        (materialize(constant(0.5), 2000).array(2000), np.array([1.0, -1.0])),
+        # blocks of 50 equal coefficients: at x = 1 the mantissas pass 1e100
+        # twice, then fall below 1e-100 near degree 648
+        (np.repeat([-0.944, 0.697, -0.55, 0.805, -0.634, -0.605, -0.964,
+                    0.972, 0.61, 0.917, 0.814, -0.82, -0.999, 0.754], 50),
+         np.array([1.0, -1.0])),
+    ]
+    saw_rescale = saw_upward = 0
+    for a, z in cases:
+        n = len(a)
+        al = VerblunskySequence(values=a)
+        ev = evaluate(al, n, z)
+        (phi, phis, dphi, dphis), ls = _oracle_sums(a, z, lambda s, *v: list(v))
+        for got, want in zip((ev.phi, ev.phi_star, ev.dphi, ev.dphi_star, ev.log_scale),
+                             (phi, phis, dphi, dphis, ls)):
+            assert _same_bytes(got, want)
+        saw_rescale += bool(np.any(ls != 0.0))
+        saw_upward += any(sc is not None and np.any(sc < 1.0) for _, sc in _oracle_sweep(a, z))
+        b = kernel_bundle(al, n + 1, z)
+        sums, ls = _oracle_sums(a, z, _bundle_terms)
+        for got, want in zip((b.k_zz, b.k_zzbar, b.k10_zz, b.k10_zzbar, b.k11_zz, b.log_scale),
+                             sums + [2.0 * ls]):
+            assert _same_bytes(got, want)
+        if np.iscomplexobj(z):
+            inside = z[np.abs(z) <= 1.0]
+            rb = reversed_kernel_bundle(al, n + 1, inside)
+            sums, ls = _oracle_sums(a, inside, _reversed_terms(inside))
+            for got, want in zip((rb.k_zz, rb.k_zzbar, rb.k10_zz, rb.k10_zzbar, rb.k11_zz,
+                                  rb.log_scale), sums + [2.0 * ls]):
+                assert _same_bytes(got, want)
+        zw = np.array([complex(z[-1]), complex(z[0])])
+        d = kernel_direct(al, n + 1, zw[0], zw[1])
+        sums, ls = _oracle_sums(a, zw, _direct_terms, pair=True)
+        for got, want in zip(d, sums[:3] + [ls[0] + ls[1]]):
+            assert _same_bytes(got, want)
+    assert saw_rescale >= 5 and saw_upward >= 1
+
+
+def test_rescale_checks_are_scheduled(monkeypatch):
+    # free at n = 4096 on (-1, 1): the growth bound allows hundreds of steps
+    # between checks, where checking every step took 4096
+    calls = []
+    check = szego._rescale
+
+    def counting(P, S):
+        calls.append(1)
+        return check(P, S)
+
+    monkeypatch.setattr(szego, "_rescale", counting)
+    al = VerblunskySequence(generator=lambda k: 0.0)
+    evaluate(al, 4096, np.linspace(-0.995, 0.995, 192))
+    assert 0 < len(calls) <= 64
