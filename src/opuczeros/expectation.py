@@ -78,21 +78,41 @@ def _check_degree(n):
         raise OutOfDomainError("expected zero counts need n >= 1, got %d" % n)
 
 
+def _graded_splits(n):
+    """Initial split points in (0, 1) for the real-line solves.
+
+    The real intensity follows 1/(pi (1 - x^2)) between distance 1/n and
+    distance 1 from x = +-1, so each dyadic shell 1 - 2^-(k-1) < x < 1 - 2^-k
+    carries about the same count, ln 2/(2 pi): splits at 1 - 2^-k for
+    k = 1..ceil(log2 n), then 1 - 1/n and 1 - 0.1/n inside the edge layer.
+    """
+    depth = (n - 1).bit_length()
+    return sorted({*(1.0 - 2.0 ** -k for k in range(1, depth + 1)),
+                   1.0 - 1.0 / n, 1.0 - 0.1 / n})
+
+
 def expected_real_zeros(alpha, n, region=WholeRealLine(), tol=1e-9):
-    """Expected number of real zeros of P_n over the region."""
+    """Expected number of real zeros of P_n over the region.
+
+    The adaptive solve starts from a mesh graded toward x = +-1 (and, for an
+    interval reaching past them, toward +-1 from outside through the
+    inversion x -> 1/x), so typical ensembles converge in the first round:
+    one integrand call, one Szegő sweep.
+    """
     _check_degree(n)
     seq = as_verblunsky(alpha)
 
     def f(x):
         return real_intensity_grid(seq, n, x)
 
-    edge = 1.0 - 1.0 / n
+    inner = _graded_splits(n)
     if isinstance(region, WholeRealLine):
         val, err = adaptive_gl(f, -1.0, 1.0, tol=tol,
-                               splits=(-edge, -1 + 0.1 / n, 1 - 0.1 / n, edge))
+                               splits=[t * s for s in inner for t in (-1.0, 1.0)])
         return QuadResult(2.0 * val, 2.0 * err, None)
     if isinstance(region, RealInterval):
-        splits = [s for s in (-1.0, -edge, edge, 1.0) if region.a < s < region.b]
+        marks = [1.0, *inner, *(1.0 / s for s in inner if s > 0.0)]
+        splits = [t * s for s in marks for t in (-1.0, 1.0)]
         val, err = adaptive_gl(f, region.a, region.b, tol=tol, splits=splits)
         return QuadResult(val, err, None)
     raise OutOfDomainError("unsupported region for real-zero counting")

@@ -6,6 +6,7 @@ formula and the sigma-decomposition).  Routes agree to near machine accuracy
 away from their respective degeneracies and tests enforce this.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .kernels import kernel_bundle, reversed_kernel_bundle
-from .szego import evaluate
+from .szego import _sweep, as_verblunsky, evaluate
 
 # dispatch from the closed form to the kernel form near x = +-1
 CLOSED_CUTOFF = 1e-3
@@ -41,14 +42,19 @@ def h_kac(n, x):
     return n * x ** (n - 1) * (1.0 - x * x) / (1.0 - x ** (2 * n))
 
 
+def _h(phi, phi_star, dphi, dphi_star, x):
+    """(1 - x^2) b'(x) / (1 - b^2(x)) for b = phi/phi^*, from degree-n values."""
+    # ratios of same-scale mantissas; the shared exponent cancels
+    b = phi / phi_star
+    db = (dphi * phi_star - phi * dphi_star) / (phi_star * phi_star)
+    h = (1.0 - np.asarray(x) ** 2) * db / (1.0 - b * b)
+    return np.real(h)
+
+
 def h_closed(alpha, n, x):
     """h_n(x) = (1 - x^2) b_n'(x) / (1 - b_n^2(x)) for real x in (-1, 1)."""
     ev = evaluate(alpha, n, np.asarray(x, dtype=float))
-    # ratios of same-scale mantissas; the shared exponent cancels
-    b = ev.phi / ev.phi_star
-    db = (ev.dphi * ev.phi_star - ev.phi * ev.dphi_star) / (ev.phi_star * ev.phi_star)
-    h = (1.0 - np.asarray(x) ** 2) * db / (1.0 - b * b)
-    return np.real(h)
+    return _h(ev.phi, ev.phi_star, ev.dphi, ev.dphi_star, x)
 
 
 def h_alt(alpha, n, x):
@@ -62,14 +68,67 @@ def h_alt(alpha, n, x):
     return np.real((1.0 - x * x) * dg / (1.0 - g * g))
 
 
+def _kernel_rho(steps):
+    """Kernel-form real intensity sqrt(R/K)/pi folded over real sweep steps.
+
+    K = K_n(x, x) and R = K^(1,1) - (K^(1,0))^2 / K accumulate term by term:
+    each (phi, phi') updates mu = K^(1,0)/K and adds e^2 K/K' to R, with
+    e = phi' - mu phi and K' = K + phi^2, so R is a sum of nonnegative
+    terms.  K K^(1,1) - (K^(1,0))^2 from the three sums instead cancels
+    every digit where the polynomials grow geometrically (19 at x = 1 - 1e-9
+    for constant(0.5), n = 839), and its products of mantissas overflow.  A
+    rescale by sc divides K and R by sc^2; the ratio mu keeps its value.
+    """
+    k = mu = r = 0.0
+    # where K underflows to 0, e / K is not finite; that raises below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for P, S, sc in steps:
+            if sc is not None:
+                sc2 = sc * sc
+                k, r = k / sc2, r / sc2
+            phi, dphi = P
+            e = dphi - mu * phi
+            k_old, k = k, k + phi * phi
+            g = e / k
+            mu = mu + phi * g
+            r = r + e * (g * k_old)
+    if not np.all((k > 0.0) & np.isfinite(r)):
+        raise OutOfDomainError("K_n(x, x) underflowed against K_n^(1,1)(x, x) "
+                               "at the requested point; too close to x = +-1 "
+                               "for this n")
+    return np.sqrt(r / k) / np.pi
+
+
 def real_intensity_kernel_grid(alpha, n, x):
-    """Kernel-form real intensity on a grid; finite everywhere, incl. x = +-1."""
+    """Kernel-form real intensity on a grid, valid at x = +-1 too.
+
+    sqrt(K K^(1,1) - (K^(1,0))^2)/(pi K) from the CD kernel sums over
+    degrees 0..n-1, accumulated as in _kernel_rho.  Raises
+    OutOfDomainError where K_n(x, x) underflows against K_n^(1,1)(x, x)
+    (x = 1 for constant(0.5) from n = 840).
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if n <= 1:
         return np.zeros(x.shape)
-    b = kernel_bundle(alpha, n, x)
-    rad = b.k_zz * b.k11_zz - b.k10_zz * b.k10_zz
-    return _clamped_sqrt(rad) / (np.pi * b.k_zz)
+    return _kernel_rho(_sweep(as_verblunsky(alpha).array(n - 1), x))
+
+
+def _inverted(x):
+    """The points the closed form is evaluated at: x, or 1/x for |x| >= 1."""
+    outer = np.abs(x) >= 1.0
+    u = x.copy()
+    u[outer] = 1.0 / x[outer]
+    return u
+
+
+def _closed_rho(P, S, x, u):
+    """Closed-form intensity at x from the degree-n values P, S at u = _inverted(x)."""
+    (phi, dphi), (phi_star, dphi_star) = P, S
+    h = _h(phi, phi_star, dphi, dphi_star, u)
+    rho = _clamped_sqrt(1.0 - h * h) / (np.pi * np.abs(1.0 - u * u))
+    outer = np.abs(x) >= 1.0
+    rho[outer] = rho[outer] / (x[outer] * x[outer])
+    return rho
 
 
 def real_intensity_closed_grid(alpha, n, x):
@@ -83,32 +142,42 @@ def real_intensity_closed_grid(alpha, n, x):
         return np.zeros(x.shape)
     if np.any(np.abs(1.0 - x * x) <= CLOSED_CUTOFF):
         raise OutOfDomainError("closed form unstable near x = +-1; use the kernel form")
-    out = np.empty(x.shape)
-    inner = np.abs(x) < 1.0
-    if np.any(inner):
-        xi = x[inner]
-        h = h_closed(alpha, n, xi)
-        out[inner] = _clamped_sqrt(1.0 - h * h) / (np.pi * np.abs(1.0 - xi * xi))
-    if np.any(~inner):
-        xo = x[~inner]
-        u = 1.0 / xo
-        h = h_closed(alpha, n, u)
-        rho_u = _clamped_sqrt(1.0 - h * h) / (np.pi * np.abs(1.0 - u * u))
-        out[~inner] = rho_u / (xo * xo)
-    return out
+    u = _inverted(x)
+    ev = evaluate(alpha, n, u)
+    return _closed_rho((ev.phi, ev.dphi), (ev.phi_star, ev.dphi_star), x, u)
 
 
 def real_intensity_grid(alpha, n, x):
-    """Real intensity on a grid, auto-dispatching between the two routes."""
+    """Real intensity on a grid, dispatching each point to one of the two routes.
+
+    Points with |1 - x^2| > CLOSED_CUTOFF take the closed form (evaluated at
+    1/x for |x| > 1), the rest the kernel form.  Both routes are folds over
+    one Szegő sweep of all the points: the kernel sums over degrees
+    0..n-1 on the kernel points, then the closed form from the degree-n
+    values of the closed points.  Per-point arithmetic and rescale degrees
+    do not depend on which points share a sweep, so the values are
+    bit-identical to real_intensity_closed_grid and real_intensity_kernel_grid
+    applied to the two subsets.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if n <= 1:
         return np.zeros(x.shape)
-    out = np.empty(x.shape)
     closed = np.abs(1.0 - x * x) > CLOSED_CUTOFF
-    if np.any(closed):
-        out[closed] = real_intensity_closed_grid(alpha, n, x[closed])
-    if np.any(~closed):
-        out[~closed] = real_intensity_kernel_grid(alpha, n, x[~closed])
+    xc = x[closed]
+    u = _inverted(xc)
+    m = len(u)
+    # the kernel sums stop at degree n - 1; only the closed form needs n
+    a = as_verblunsky(alpha).array(n if m else n - 1)
+    steps = _sweep(a, np.concatenate([u, x[~closed]]))
+    out = np.empty(x.shape)
+    if m < len(x):
+        kernel_steps = ((P[:, m:], S[:, m:], None if sc is None else sc[m:])
+                        for P, S, sc in itertools.islice(steps, n))
+        out[~closed] = _kernel_rho(kernel_steps)
+    if m:
+        for P, S, _ in steps:  # on to degree n
+            pass
+        out[closed] = _closed_rho(P[:, :m], S[:, :m], xc, u)
     return out
 
 

@@ -16,13 +16,16 @@ The range check ``_rescale`` runs only when a mantissa could leave
 [1e-100, 1e100].  Per step the largest of the four moduli grows by at most
 the factor (1 + max|z| + |a|) s, and max(|phi|, |phi^*|) shrinks by at most
 (1 + |a|) s, no more than that (invert the step; |phi| <= |phi^*| on the
-closed disk).  Each check measures the headroom in bits, less one bit for
-rounding, and finds in prefix sums of the log2 growth bounds the first
-degree that could use it up; where phi and phi^* fall below 2e-100 (they
-underflow at x = +-1 for constant(0.5)) the check runs every step.  A check
-can come early but never late, so every rescale lands on the same degree
-with the same power of 2 as checking every step would: outputs, log scales
-included, are bit-identical.
+closed disk).  Inverting the step also bounds the shrink of the four-max
+itself, by (1 + |a|) s (1 + r)/r^2 with r = min(1, min|z|), so where no
+point is 0 the four-max keeps the schedule going after phi and phi^*
+underflow (they do at x = +-1 for constant(0.5), while the derivatives stay
+large).  Each check measures the headroom in bits, less one bit for
+rounding, and finds in prefix sums of the log2 bounds the first degree that
+could use it up; a shrink is safe until either of its two bounds says
+otherwise.  A check can come early but never late, so every rescale lands
+on the same degree with the same power of 2 as checking every step would:
+outputs, log scales included, are bit-identical.
 """
 
 import math
@@ -118,13 +121,18 @@ class SzegoEval:
         return self.phi * s, self.phi_star * s, self.dphi * s, self.dphi_star * s
 
 
+def _headroom(ratio):
+    return math.log2(ratio) - 1.0 if ratio > 0 else -1.0
+
+
 def _rescale(P, S):
     """Pull the stacked mantissas back into [1e-100, 1e100] by a power of 2.
 
     Divides P and S in place.  Returns the applied factor (ones where
-    untouched; None when no point needed it) and the bits of headroom left:
-    how far the four-max may grow, or max(|phi|, |phi^*|) shrink, before a
-    mantissa could leave the range, less one bit for rounding.
+    untouched; None when no point needed it) and the bits of headroom left,
+    less one bit for rounding: how far the four-max may grow, how far
+    max(|phi|, |phi^*|) may shrink, and how far the four-max may shrink
+    before a mantissa could leave the range.
     """
     aP, aS = np.abs(P), np.abs(S)
     m = np.maximum(aP.max(0), aS.max(0))
@@ -136,8 +144,9 @@ def _rescale(P, S):
         P /= sc
         S /= sc
         m, low = m / sc, low / sc
-    room = min(_MAG_HIGH / m.max(initial=1.0), low.min(initial=1.0) / _MAG_LOW)
-    return sc, (math.log2(room) - 1.0 if room > 0 else -1.0)
+    return (sc, _headroom(_MAG_HIGH / m.max(initial=1.0)),
+            _headroom(low.min(initial=1.0) / _MAG_LOW),
+            _headroom(m.min(initial=1.0) / _MAG_LOW))
 
 
 def _points(z):
@@ -161,10 +170,16 @@ def _sweep(a, z):
     P[0] = 1.0
     S = P.copy()
     s = 1.0 / np.sqrt(1.0 - a * a)
-    # bits[k]: log2 bound on the growth of the four-max over degrees 0..k,
-    # which also bounds the shrink of max(|phi|, |phi^*|)
-    bits = np.concatenate(([0.0], np.cumsum(np.log2(
-        (1.0 + np.max(np.abs(z), initial=0.0) + np.abs(a)) * s))))
+    # prefix sums over degrees 0..k of log2 bounds per step: the growth of
+    # the four-max, which also bounds the shrink of max(|phi|, |phi^*|), and
+    # (no point at 0) the shrink of the four-max
+    grow = _prefix(np.log2((1.0 + np.max(np.abs(z), initial=0.0) + np.abs(a)) * s))
+    r = float(np.min(np.abs(z), initial=1.0))
+    shrink = None
+    if r > 0:
+        # log2 of the factor (1 + r)/r^2 taken apart: it overflows for tiny r
+        shrink = _prefix(np.log2((1.0 + np.abs(a)) * s)
+                         + (math.log2(1.0 + r) - 2.0 * math.log2(r)))
     due = 1
     yield P, S, None
     for k, (ak, s) in enumerate(zip(a.tolist(), s.tolist()), 1):
@@ -174,9 +189,22 @@ def _sweep(a, z):
         S = (S - ak * Q) * s
         sc = None
         if k == due:
-            sc, room = _rescale(P, S)
-            due = max(k + 1, int(np.searchsorted(bits, bits[k] + room, side="right")))
+            sc, up, low, four = _rescale(P, S)
+            # a shrink is safe until both of its bounds could be used up
+            down = _first(grow, k, low)
+            if shrink is not None:
+                down = max(down, _first(shrink, k, four))
+            due = max(k + 1, min(_first(grow, k, up), down))
         yield P, S, sc
+
+
+def _prefix(log2_steps):
+    return np.concatenate(([0.0], np.cumsum(log2_steps)))
+
+
+def _first(bits, k, room):
+    """First degree whose bound, counted from degree k, could exceed room."""
+    return int(np.searchsorted(bits, bits[k] + room, side="right"))
 
 
 def monic_step(c, a):

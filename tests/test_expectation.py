@@ -8,6 +8,7 @@ from opuczeros import (AnnularSector, OutOfDomainError, RealInterval,
                        conservation_check, expected_complex_zeros,
                        expected_real_zeros, growth_log_derivative,
                        total_complex_zeros)
+from opuczeros import expectation, intensity, kernels, szego
 from opuczeros.ensembles import materialize, power_decay
 
 
@@ -130,3 +131,45 @@ def test_power_decay_real_count_close_to_free():
     a = expected_real_zeros(al, 128).value
     b = expected_real_zeros(free_seq(), 128).value
     assert abs(a - b) < 1.0
+
+
+def _kac_count(n):
+    """Expected real zeros of the free (Kac) ensemble from its closed-form density."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def rho(x):
+        with mpmath.workdps(60):
+            t = 1 / (1 - x * x) ** 2 - n * n * x ** (2 * n - 2) / (1 - x ** (2 * n)) ** 2
+            return +(mpmath.sqrt(t) / mpmath.pi)
+
+    with mpmath.workdps(20):
+        pts = [0, *(1 - mpmath.mpf(2) ** -k for k in range(1, 30)), 1]
+        # even density and the inversion symmetry: four times (0, 1)
+        return float(4 * mpmath.quad(rho, pts, method="gauss-legendre"))
+
+
+def test_real_line_solve_is_one_round(monkeypatch):
+    # the graded mesh settles free n = 4096 in its first round, and each
+    # integrand call is one Szegő sweep
+    sweeps, calls = [], []
+    sweep, grid = szego._sweep, expectation.real_intensity_grid
+
+    def counting_sweep(*args):
+        sweeps.append(1)
+        return sweep(*args)
+
+    def counting_grid(*args):
+        calls.append(1)
+        return grid(*args)
+
+    for module in (szego, intensity, kernels):
+        monkeypatch.setattr(module, "_sweep", counting_sweep)
+    monkeypatch.setattr(expectation, "real_intensity_grid", counting_grid)
+    tol = 1e-6
+    res = expected_real_zeros(free_seq(), 4096, tol=tol)
+    assert (len(calls), len(sweeps)) == (1, 1)
+    assert abs(res.value - _kac_count(4096)) <= tol * res.value
+    # an interval reaching past x = 1 is graded from both sides
+    res = expected_real_zeros(free_seq(), 4096, RealInterval(0.5, 2.0), tol=tol)
+    assert 0.0 < res.value < 4095 and res.error <= tol * res.value
+    assert len(calls) == 2

@@ -7,13 +7,13 @@ from opuczeros import (OutOfDomainError, VerblunskySequence, complex_intensity,
                        growth_log_derivative, limit_complex_density,
                        limit_real_density, real_intensity_closed,
                        real_intensity_kernel, scaling_limit_density)
-from opuczeros.intensity import (complex_intensity_grid,
+from opuczeros.intensity import (CLOSED_CUTOFF, complex_intensity_grid,
                                  complex_intensity_reversed_grid,
                                  h_alt, h_closed, h_kac,
                                  real_intensity_closed_grid,
                                  real_intensity_grid,
                                  real_intensity_kernel_grid)
-from opuczeros.ensembles import free as free_spec, materialize, power_decay
+from opuczeros.ensembles import constant, free as free_spec, materialize, power_decay
 from opuczeros._quad import adaptive_gl
 
 
@@ -227,3 +227,54 @@ def test_exterior_intensity_is_finite_and_self_consistent():
         assert np.all(np.isfinite(rho)) and np.all(rho > 0.0)
         ref = np.abs(z) ** -4 * complex_intensity_reversed_grid(al, n, 1.0 / z)
         assert np.max(np.abs(rho - ref) / ref) < 1e-6
+
+
+def test_fused_grid_is_bit_identical_to_the_two_routes():
+    # one sweep serves both routes; per-point arithmetic does not depend on
+    # which points share it, so the bytes match the separate routes
+    c = CLOSED_CUTOFF
+    edges = [math.sqrt(1.0 - c), math.sqrt(1.0 + c)]
+    edges += [np.nextafter(e, 0.0) for e in edges] + [np.nextafter(e, 2.0) for e in edges]
+    rng = np.random.default_rng(24)
+    base = [0.0, -1.0, 1.0 - 1e-9, -(1.0 - 1e-9), 0.3, -0.7, 0.9999, -1.0005,
+            1.5, -3.0, 40.0, *edges, *(-e for e in edges)]
+    large = rng.choice([-1.0, 1.0], 600) * rng.uniform(0.7, 0.9, 600)
+    cases = ((free(), 4096, [1.0]), (materialize(constant(0.5), 2000), 2000, []),
+             (VerblunskySequence(values=large), 600, [1.0]))
+    for al, n, extra in cases:
+        x = rng.permutation(base + extra)
+        closed = np.abs(1.0 - x * x) > c
+        assert 0 < np.count_nonzero(closed) < len(x)
+        rho = real_intensity_grid(al, n, x)
+        assert np.all(np.isfinite(rho))
+        assert rho[closed].tobytes() == real_intensity_closed_grid(al, n, x[closed]).tobytes()
+        assert rho[~closed].tobytes() == real_intensity_kernel_grid(al, n, x[~closed]).tobytes()
+    # constant(0.5): phi and phi^* vanish at x = 1 from degree 839, and K_n
+    # underflows against K_n^(1,1) there, so both routes refuse the point
+    al = materialize(constant(0.5), 2000)
+    for route in (real_intensity_grid, real_intensity_kernel_grid):
+        with pytest.raises(OutOfDomainError):
+            route(al, 2000, [0.5, 1.0])
+
+
+def test_kernel_route_near_a_spike_matches_high_precision():
+    # constant(0.5), n = 839: K K^(1,1) and (K^(1,0))^2 overflow as products
+    # of mantissas and agree to 19 digits at 1 - 1e-9
+    mpmath = pytest.importorskip("mpmath")
+    n = 839
+    xs = [0.9999, 1.0 - 1e-9, 1.0 + 1e-9, -(1.0 - 1e-9)]
+    got = real_intensity_grid(materialize(constant(0.5), n), n, xs)
+    with mpmath.workdps(50):
+        a = mpmath.mpf("0.5")
+        s = 1 / mpmath.sqrt(1 - a * a)
+        for x, g in zip(xs, got):
+            x = mpmath.mpf(x)
+            p, ps, dp, dps = mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+            k = k10 = k11 = 0
+            for _ in range(n):
+                k, k10, k11 = k + p * p, k10 + p * dp, k11 + dp * dp
+                xp, q = x * p, p + x * dp
+                p, ps, dp, dps = ((xp - a * ps) * s, (ps - a * xp) * s,
+                                  (q - a * dps) * s, (dps - a * q) * s)
+            want = float(mpmath.sqrt(k * k11 - k10 * k10) / (mpmath.pi * k))
+            assert abs(g - want) <= 1e-6 * want

@@ -315,3 +315,9 @@ def test_rescale_checks_are_scheduled(monkeypatch):
     al = VerblunskySequence(generator=lambda k: 0.0)
     evaluate(al, 4096, np.linspace(-0.995, 0.995, 192))
     assert 0 < len(calls) <= 64
+    # constant(0.5) at x = +-1: phi and phi^* underflow to 0 from degree 839
+    # while phi' grows; the shrink bound on the four-max keeps the schedule
+    # (max(|phi|, |phi^*|) alone would call for 1591 checks for 4 rescales)
+    calls.clear()
+    evaluate(materialize(constant(0.5), 2000), 2000, np.array([1.0, -1.0]))
+    assert 0 < len(calls) <= 100
