@@ -1,9 +1,17 @@
-"""Expected zero counts by quadrature of the intensity functions.
+"""Expected zero counts by quadrature.
 
-The whole-line real count reduces to 2 * integral over (-1, 1) through the
-inversion symmetry rho(1/x) = x^2 rho(x); complex counts integrate the
-complex intensity over annular sectors or near-circle scaling windows with
-a guard band around the real axis.
+The whole-line real count reduces to 2 * integral over (-1, 1) of the real
+intensity through the inversion symmetry rho(1/x) = x^2 rho(x).
+
+Complex counts over annular sectors and near-circle scaling windows leave
+out a guard band of angle GUARD_THETA around the real axis: real zeros, and
+nonreal ones that close to R, are not counted.  What remains is a union of
+sectors, and their count is a 1-D integral by the argument principle,
+(1/2 pi i) times the integral of E[P'/P] dz around each sector's boundary
+(the boundary form of the Shepp-Vanderbei area count; Edelman-Kostlan for
+the circular case).  The 2-D route, the complex intensity integrated over
+the same sectors (_integrate_sector), serves the whole-plane total and
+conservation_check, and is the independent check of the contour route.
 """
 
 import math
@@ -16,11 +24,13 @@ from ._quad import adaptive_gl, adaptive_gl_2d
 from .errors import OutOfDomainError
 from .intensity import (complex_intensity_grid,
                         complex_intensity_reversed_grid,
-                        growth_log_derivative, real_intensity_grid)
+                        growth_log_derivative, log_derivative_grid,
+                        real_intensity_grid)
 from .szego import as_verblunsky
 
-# the real-axis contribution is carried by the real intensity; the 2-D
-# quadrature stays clear of the axis where the complex formula degenerates
+# the real-axis contribution is carried by the real intensity; complex
+# counts stay this angle clear of the axis, where the complex intensity and
+# E[P'/P] degenerate
 GUARD_THETA = 1e-5
 
 QuadResult = namedtuple("QuadResult", ["value", "error", "prediction"])
@@ -166,19 +176,96 @@ def _integrate_sector(seq, n, arcs, r1, r2, tol, rsplits=(), rho=None):
     return total, toterr
 
 
+# arc panels span at most this many multiples of pi/n: K(z, conj z) turns
+# at frequency up to 2n in theta, so a panel holds at most 8 of its periods,
+# 4 nodes each for the 32-point rule.  Wider panels alias: with 32 pi/n
+# (8 panels on a quarter circle at n = 512) both rules miss alike and the
+# stated error understates the true one.
+_ARC_PANEL = 8.0
+
+
+def _arc_splits(span, n):
+    m = math.ceil(span * n / (_ARC_PANEL * math.pi))
+    return [span * k / m for k in range(1, m)]
+
+
+def _radial_splits(r1, r2, n):
+    """Split radii in (r1, r2) graded toward the unit circle from both sides.
+
+    Next to the real axis the radial edge follows half the real intensity,
+    which grows like 1/(pi (1 - x^2)) up to distance 1/n from x = +-1, the
+    shape _graded_splits resolves on the real line.
+    """
+    inner = _graded_splits(n)
+    marks = (1.0, *inner, *(2.0 - x for x in inner))
+    return sorted({r for r in marks if r1 < r < r2})
+
+
+def _sector_edges(arcs, r1, r2):
+    """Counter-clockwise boundary of each sector {r1 < |z| < r2, arg z in arc}.
+
+    Rows (r, theta, dr, dtheta, length) give the edge
+    z(s) = (r + s dr) exp(i (theta + s dtheta)) for 0 <= s <= length: the
+    outer arc forward, the radial edge inward, the inner arc back and the
+    radial edge outward.
+    """
+    rows = []
+    for lo, hi in arcs:
+        rows += [(r2, lo, 0.0, 1.0, hi - lo), (r2, hi, -1.0, 0.0, r2 - r1),
+                 (r1, hi, 0.0, -1.0, hi - lo), (r1, lo, 1.0, 0.0, r2 - r1)]
+    return np.array(rows)
+
+
+def _contour_count(seq, n, arcs, r1, r2, tol):
+    """Expected zeros in the sectors by the argument principle.
+
+    The count is (1/2 pi i) times the integral of E[P'/P] dz around each
+    sector's boundary, Im(E[P'/P] z'(s))/(2 pi) ds along every edge.  All
+    edges lie end to end on one parameter line, integrated by one 1-D
+    adaptive solve: each integrand call is one Szegő sweep, and the
+    tolerance applies to the region's total.
+    """
+    if not arcs:
+        return 0.0, 0.0
+    edges = _sector_edges(arcs, r1, r2)
+    starts = np.concatenate(([0.0], np.cumsum(edges[:, 4])))
+    splits = list(starts[1:-1])
+    for (r, theta, dr, _, length), start in zip(edges, starts):
+        local = (_arc_splits(length, n) if dr == 0.0 else
+                 [abs(x - r) for x in _radial_splits(r1, r2, n)])
+        splits += [start + x for x in local]
+
+    def f(t):
+        j = np.searchsorted(starts, t, side="right") - 1
+        r, theta, dr, dtheta, _ = edges[j].T
+        s = t - starts[j]
+        rad = r + s * dr
+        e = np.exp(1j * (theta + s * dtheta))
+        dz = (dr + 1j * rad * dtheta) * e
+        return (log_derivative_grid(seq, n, rad * e) * dz).imag / (2.0 * math.pi)
+
+    return adaptive_gl(f, 0.0, starts[-1], tol=tol, splits=splits)
+
+
 def expected_complex_zeros(alpha, n, region, tol=1e-6, guard=GUARD_THETA):
     """Expected number of complex zeros of P_n in the region.
 
-    For a scaling window the asymptotic prediction
+    The region is cut to the arcs at least guard away from the real axis
+    (real zeros, and the nonreal ones within that angle of R, are not
+    counted), and the count is the contour integral of E[P'/P] around the
+    resulting sectors (_contour_count); the stated error bounds the whole
+    region.  For a scaling window the asymptotic prediction
     n * |S|/(2 pi) * (H'/H(tau2) - H'/H(tau1)) is returned alongside.
     """
     _check_degree(n)
+    if not guard > 0.0:
+        # the contour runs along the band's edges, where E[P'/P] must be finite
+        raise OutOfDomainError("complex counts need guard > 0, got %r" % guard)
     seq = as_verblunsky(alpha)
     if isinstance(region, AnnularSector):
         arcs = _clip_arcs(region.theta1, region.theta2, guard)
-        rsplits = (1.0 - 1.0 / n, 1.0, 1.0 + 1.0 / n)
-        val, err = _integrate_sector(seq, n, arcs, 1.0 - region.delta,
-                                     1.0 + region.delta, tol, rsplits)
+        val, err = _contour_count(seq, n, arcs, 1.0 - region.delta,
+                                  1.0 + region.delta, tol)
         return QuadResult(val, err, None)
     if isinstance(region, ScalingWindow):
         arcs = _clip_arcs(region.theta1, region.theta2, guard)
@@ -186,8 +273,7 @@ def expected_complex_zeros(alpha, n, region, tol=1e-6, guard=GUARD_THETA):
         r2 = 1.0 + region.tau2 / (2.0 * n)
         if r1 <= 0.0:
             raise OutOfDomainError("scaling window extends past the origin")
-        val, err = _integrate_sector(seq, n, arcs, r1, r2, tol,
-                                     rsplits=(1.0,) if r1 < 1.0 < r2 else ())
+        val, err = _contour_count(seq, n, arcs, r1, r2, tol)
         span = region.theta2 - region.theta1
         pred = n * span / (2.0 * math.pi) * (
             growth_log_derivative(region.tau2) - growth_log_derivative(region.tau1))

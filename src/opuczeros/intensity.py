@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError
-from .kernels import kernel_bundle, reversed_kernel_bundle
+from .kernels import _complex_terms, kernel_bundle, reversed_kernel_bundle
 from .szego import _sweep, as_verblunsky, evaluate
 
 # dispatch from the closed form to the kernel form near x = +-1
@@ -68,15 +68,27 @@ def h_alt(alpha, n, x):
     return np.real((1.0 - x * x) * dg / (1.0 - g * g))
 
 
+def _residual_step(k, mu, r, x, y):
+    """Fold one term into K = sum x^2 and the residual R of y on x.
+
+    mu = sum x y / K is the regression coefficient; with e = y - mu x and
+    K' = K + x^2 the residual gains e^2 K/K', a nonnegative term, so R never
+    cancels.  Returns the new (K, mu, R).
+    """
+    e = y - mu * x
+    k_old, k = k, k + x * x
+    g = e / k
+    return k, mu + x * g, r + e * (g * k_old)
+
+
 def _kernel_rho(steps):
     """Kernel-form real intensity sqrt(R/K)/pi folded over real sweep steps.
 
-    K = K_n(x, x) and R = K^(1,1) - (K^(1,0))^2 / K accumulate term by term:
-    each (phi, phi') updates mu = K^(1,0)/K and adds e^2 K/K' to R, with
-    e = phi' - mu phi and K' = K + phi^2, so R is a sum of nonnegative
-    terms.  K K^(1,1) - (K^(1,0))^2 from the three sums instead cancels
-    every digit where the polynomials grow geometrically (19 at x = 1 - 1e-9
-    for constant(0.5), n = 839), and its products of mantissas overflow.  A
+    K = K_n(x, x) and R = K^(1,1) - (K^(1,0))^2 / K accumulate term by term
+    (_residual_step of phi' on phi), so R is a sum of nonnegative terms.
+    K K^(1,1) - (K^(1,0))^2 from the three sums instead cancels every digit
+    where the polynomials grow geometrically (19 at x = 1 - 1e-9 for
+    constant(0.5), n = 839), and its products of mantissas overflow.  A
     rescale by sc divides K and R by sc^2; the ratio mu keeps its value.
     """
     k = mu = r = 0.0
@@ -86,12 +98,7 @@ def _kernel_rho(steps):
             if sc is not None:
                 sc2 = sc * sc
                 k, r = k / sc2, r / sc2
-            phi, dphi = P
-            e = dphi - mu * phi
-            k_old, k = k, k + phi * phi
-            g = e / k
-            mu = mu + phi * g
-            r = r + e * (g * k_old)
+            k, mu, r = _residual_step(k, mu, r, *P)
     if not np.all((k > 0.0) & np.isfinite(r)):
         raise OutOfDomainError("K_n(x, x) underflowed against K_n^(1,1)(x, x) "
                                "at the requested point; too close to x = +-1 "
@@ -255,6 +262,57 @@ def complex_intensity_reversed_grid(alpha, n, u, degenerate="raise"):
     if np.any(u.imag == 0.0):
         raise OutOfDomainError("complex intensity is undefined on the real line")
     return _bundle_intensity(reversed_kernel_bundle(alpha, n, u), degenerate)
+
+
+def _log_derivative(steps):
+    """E[P'/P] folded over complex sweep steps of degrees 0..n-1.
+
+    X = P(z) is a complex Gaussian with E|X|^2 = A = K(z, z) and
+    E X^2 = B = K(z, conj z); Y = P'(z) has E[Y conj X] = C = K^(1,0)(z, z)
+    and E[Y X] = D = K^(1,0)(z, conj z).  Regressing Y on X and conj X and
+    E[conj X / X] = conj B/(A + sqrt(A^2 - |B|^2)) give, with b = B/A and
+    delta = (A^2 - |B|^2)/A^2,
+
+        E[P'/P] = (C/A - (D/A) conj(b)/(1 + sqrt(delta))) / sqrt(delta).
+
+    The sums come from the stacked kernel fold and are divided by A, as in
+    _bundle_intensity.  delta vanishes on R, so it is not formed as
+    1 - |b|^2: with phi = x + iy, A^2 - |B|^2 = 4 K R for K = sum x^2 and R
+    the residual of y on x, accumulated as nonnegative terms by
+    _residual_step.
+    """
+    sums = (0.0, 0.0, 0.0)
+    k = mu = r = 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for P, S, sc in steps:
+            if sc is not None:
+                sc2 = sc * sc
+                sums = [s / sc2 for s in sums]
+                k, r = k / sc2, r / sc2
+            sums = _complex_terms(sums, P, S)
+            k, mu, r = _residual_step(k, mu, r, P[0].real, P[0].imag)
+        (a, _), (b, d), c = sums
+        delta = 4.0 * (k / a) * (r / a)
+        root = np.sqrt(delta)
+        f = (c / a - (d / a) * np.conj(b / a) / (1.0 + root)) / root
+    if not np.all(np.isfinite(f)):
+        raise OutOfDomainError("K_n^2 - |K_n(z, conj z)|^2 degenerate at the "
+                               "requested point; too close to R for this n")
+    return f
+
+
+def log_derivative_grid(alpha, n, z):
+    """E[P_n'(z)/P_n(z)] on a grid off R, the contour integrand of zero counts.
+
+    By the argument principle the expected number of zeros inside a closed
+    contour G is (1/2 pi i) times the integral of this function along G.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if n <= 1:
+        return np.zeros(z.shape, dtype=complex)
+    if np.any(z.imag == 0.0):
+        raise OutOfDomainError("E[P'/P] is singular on the real line")
+    return _log_derivative(_sweep(as_verblunsky(alpha).array(n - 1), z))
 
 
 def _sigma_intensity(alpha, n, z):

@@ -43,27 +43,57 @@ class KernelBundle:
     log_scale: float
 
 
-def _kernel_sums(alpha, n, z, add):
+def _complex_terms(sums, P, S):
+    """Add the degree-i terms to the stacked complex kernel sums.
+
+    sums = ([K(z, z), K^(1,1)(z, z)], [K(z, conj z), K^(1,0)(z, conj z)],
+    K^(1,0)(z, z)): the first pair is one _abs2 of P = [phi, phi'], the
+    second one P * phi, so each element sees the arithmetic of five
+    separate sums.
+    """
+    s1, s2, k10 = sums
+    phi, dphi = P
+    return s1 + _abs2(P), s2 + P * phi, k10 + dphi * np.conj(phi)
+
+
+def _unpack_complex(sums):
+    (k, k11), (kb, k10b), k10 = sums
+    return k, kb, k10, k10b, k11
+
+
+def _real_terms(sums, P, S):
+    # [K, K^(1,0)] from one P * phi, then K^(1,1)
+    s, k11 = sums
+    phi, dphi = P
+    return s + P * phi, k11 + dphi * dphi
+
+
+def _unpack_real(sums):
+    (k, k10), k11 = sums
+    return k, k, k10, k10, k11
+
+
+def _kernel_sums(alpha, n, z, add, sums, unpack):
     """KernelBundle of the sums over i = 0..n-1, folded over one sweep at z.
 
-    add(sums, P, S) returns the five sums (K(z, z), K(z, conj z),
-    K^{(1,0)}(z, z), K^{(1,0)}(z, conj z), K^{(1,1)}(z, z)) with the degree-i
-    term of the stacked sweep values folded in.  Every term is quadratic in
-    the sweep values, so a rescale by sc divides every sum by sc^2.
+    add(sums, P, S) folds the degree-i term of the stacked sweep values into
+    sums, which start as given; unpack(sums) returns the five sums
+    (K(z, z), K(z, conj z), K^{(1,0)}(z, z), K^{(1,0)}(z, conj z),
+    K^{(1,1)}(z, z)).  Every sum is quadratic in the sweep values, so a
+    rescale by sc divides each by sc^2.
     """
     if n < 1:
         raise OutOfDomainError("kernel sums need n >= 1")
     a = as_verblunsky(alpha).array(n - 1)
     zz = _points(z)
     log_scale = np.zeros(zz.shape)
-    sums = (0.0,) * 5
     for P, S, sc in _sweep(a, zz):
         if sc is not None:
             log_scale += np.log(sc)
             sc2 = sc * sc
             sums = [s / sc2 for s in sums]
         sums = add(sums, P, S)
-    k, kb, k10, k10b, k11 = sums
+    k, kb, k10, k10b, k11 = unpack(sums)
     ls = 2.0 * log_scale
     if np.ndim(z) == 0:
         return KernelBundle(n, complex(zz[0]), float(k[0]), complex(kb[0]),
@@ -79,19 +109,11 @@ def kernel_bundle(alpha, n, z):
     bit, so three sums are folded and K(x, conj x), K^{(1,0)}(x, conj x)
     are the same arrays as K(x, x), K^{(1,0)}(x, x).
     """
+    if np.isrealobj(z):
+        return _kernel_sums(alpha, n, z, _real_terms, (0.0, 0.0), _unpack_real)
 
-    def add(sums, P, S):
-        k, kb, k10, k10b, k11 = sums
-        phi, dphi = P
-        return (k + _abs2(phi), kb + phi * phi, k10 + dphi * np.conj(phi),
-                k10b + dphi * phi, k11 + _abs2(dphi))
-
-    def add_real(sums, P, S):
-        phi, dphi = P
-        k, k10 = sums[0] + phi * phi, sums[2] + dphi * phi
-        return k, k, k10, k10, sums[4] + dphi * dphi
-
-    return _kernel_sums(alpha, n, z, add_real if np.isrealobj(z) else add)
+    return _kernel_sums(alpha, n, z, _complex_terms, (0.0, 0.0, 0.0),
+                        _unpack_complex)
 
 
 def reversed_kernel_bundle(alpha, n, u):
@@ -121,7 +143,7 @@ def reversed_kernel_bundle(alpha, n, u):
                 uu * kb + u2 * k10b + dphis * phis,
                 k + 2.0 * np.real(uu * k10) + au2 * k11 + _abs2(dphis))
 
-    return _kernel_sums(alpha, n, u, add)
+    return _kernel_sums(alpha, n, u, add, (0.0,) * 5, tuple)
 
 
 def kernel_direct(alpha, n, z, w):

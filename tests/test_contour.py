@@ -1,0 +1,153 @@
+"""The contour route for complex counts against its oracles.
+
+expected_complex_zeros integrates E[P'/P] around the region's boundary; the
+2-D area route (_integrate_sector over the complex intensity) and a
+high-precision evaluation of E[P'/P] are the independent checks.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from opuczeros import (AnnularSector, OutOfDomainError, ScalingWindow,
+                       VerblunskySequence, expectation, expected_complex_zeros)
+from opuczeros.ensembles import constant, free, materialize, power_decay
+from opuczeros.expectation import GUARD_THETA, _clip_arcs, _integrate_sector
+from opuczeros.intensity import log_derivative_grid
+
+
+def _seeded(seed, n):
+    rng = np.random.default_rng(seed)
+    return VerblunskySequence(values=0.5 * rng.uniform(-1.0, 1.0, n) / (np.arange(n) + 1.0))
+
+
+def _area_count(alpha, n, region, tol):
+    """The region's count by the 2-D route, split as the area solve needs."""
+    arcs = _clip_arcs(region.theta1, region.theta2, GUARD_THETA)
+    if isinstance(region, AnnularSector):
+        r1, r2 = 1.0 - region.delta, 1.0 + region.delta
+        rsplits = (1.0 - 1.0 / n, 1.0, 1.0 + 1.0 / n)
+    else:
+        r1, r2 = 1.0 + region.tau1 / (2.0 * n), 1.0 + region.tau2 / (2.0 * n)
+        rsplits = (1.0,) if r1 < 1.0 < r2 else ()
+    return _integrate_sector(alpha, n, arcs, r1, r2, tol, rsplits)
+
+
+@pytest.mark.parametrize("name, alpha, n, region", [
+    ("free annulus", materialize(free(), 64), 64, AnnularSector(0.0, math.pi, 0.3)),
+    ("power_decay full turn", materialize(power_decay(0.3, 2), 32), 32,
+     AnnularSector(0.0, 2.0 * math.pi, 0.2)),
+    ("seeded annulus", _seeded(3, 48), 48, AnnularSector(0.4, 2.9, 0.25)),
+    ("free window across R", materialize(free(), 64), 64, ScalingWindow(-0.5, 0.5, -5.0, 5.0)),
+    ("seeded window below R", _seeded(4, 32), 32, ScalingWindow(-2.5, -0.6, -3.0, 4.0)),
+    ("power_decay window", materialize(power_decay(0.3, 2), 64), 64,
+     ScalingWindow(math.pi / 4, 3 * math.pi / 4, -5.0, 5.0)),
+])
+def test_contour_route_matches_area_route(name, alpha, n, region):
+    # an edge traversed the wrong way cancels on windows symmetric about the
+    # imaginary axis but moves the n = 64 annulus by about 2
+    got = expected_complex_zeros(alpha, n, region, tol=1e-8)
+    area, area_err = _area_count(alpha, n, region, 1e-8)
+    assert got.error <= 1e-8 * max(abs(got.value), 1.0)
+    assert abs(got.value - area) <= got.error + area_err, name
+
+
+def _draw(i):
+    rng = np.random.default_rng([2026, i])
+    n = int(round(2.0 ** rng.uniform(5.0, 9.0)))
+    kind = i % 3
+    if kind == 0:
+        alpha = materialize(free(), n)
+    elif kind == 1:
+        alpha = materialize(power_decay(rng.uniform(0.1, 0.6), rng.uniform(0.5, 2.0)), n)
+    else:
+        alpha = _seeded([2026, i, 1], n)
+    theta1 = rng.uniform(-math.pi, math.pi)
+    theta2 = theta1 + rng.uniform(0.05, 2.0 * math.pi)
+    if i % 2:
+        region = AnnularSector(theta1, theta2, rng.uniform(0.05, 0.6))
+    else:
+        tau1 = rng.uniform(-10.0, 2.0)
+        region = ScalingWindow(theta1, theta2, tau1, tau1 + rng.uniform(0.5, 10.0))
+    return alpha, n, region, 10.0 ** -int(rng.integers(4, 9))
+
+
+def test_stated_error_is_honest(monkeypatch):
+    # 60 seeded draws: free, power_decay and random ensembles, n in 32..512,
+    # random angular ranges, annuli and scaling windows, tol 1e-4..1e-8.
+    # The reference is solved to 1e-10 from arc panels half as wide; the
+    # 1e-13 floor covers the rounding of the two sums
+    draws = [_draw(i) for i in range(60)]
+    got = [expected_complex_zeros(alpha, n, region, tol=tol)
+           for alpha, n, region, tol in draws]
+    monkeypatch.setattr(expectation, "_ARC_PANEL", expectation._ARC_PANEL / 2.0)
+    for (alpha, n, region, tol), res in zip(draws, got):
+        ref = expected_complex_zeros(alpha, n, region, tol=1e-10).value
+        floor = 1e-13 * max(abs(res.value), 1.0)
+        assert res.error <= tol * max(abs(res.value), 1.0)
+        assert abs(res.value - ref) <= res.error + floor, (n, region, tol)
+
+
+def test_window_512_within_its_stated_error():
+    # the 2-D route stated 1.22e-5 here and was off by 6.2e-5
+    got = expected_complex_zeros(materialize(free(), 512), 512,
+                                 ScalingWindow(math.pi / 4, 3 * math.pi / 4, -5.0, 5.0),
+                                 tol=1e-6)
+    assert abs(got.value - 78.5356121950) <= got.error + 5e-11
+
+
+def test_degree_one_and_empty_regions_have_no_complex_zeros():
+    got = expected_complex_zeros(materialize(free(), 1), 1, AnnularSector(0.0, math.pi, 0.3))
+    assert (got.value, got.error) == (0.0, 0.0)
+    # inside the guard band: no sector is left to count
+    got = expected_complex_zeros(materialize(free(), 16), 16, AnnularSector(-1e-6, 1e-6, 0.3))
+    assert (got.value, got.error) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("guard", [0.0, -1e-5, math.nan])
+def test_guard_band_must_keep_the_contour_off_the_axis(guard):
+    with pytest.raises(OutOfDomainError):
+        expected_complex_zeros(materialize(free(), 16), 16,
+                               AnnularSector(0.0, math.pi, 0.3), guard=guard)
+
+
+def _log_derivative_mp(a, n, z, mpmath):
+    """E[P'/P] from the four sums of a high-precision Szegő sweep."""
+    z = mpmath.mpc(z)
+    phi, phis, dphi, dphis = mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+    A = B = C = D = 0
+    for k in range(n):
+        A += abs(phi) ** 2
+        B += phi * phi
+        C += dphi * mpmath.conj(phi)
+        D += dphi * phi
+        if k < n - 1:
+            ak = mpmath.mpf(float(a[k]))
+            s = 1 / mpmath.sqrt(1 - ak * ak)
+            zphi, zdphi = z * phi, phi + z * dphi
+            phi, phis = (zphi - ak * phis) * s, (phis - ak * zphi) * s
+            dphi, dphis = (zdphi - ak * dphis) * s, (dphis - ak * zdphi) * s
+    det = A * A - abs(B) ** 2
+    c = (C * A - D * mpmath.conj(B)) / det
+    d = (D * A - C * B) / det
+    return complex(c + d * mpmath.conj(B) / (A + mpmath.sqrt(det)))
+
+
+@pytest.mark.parametrize("name, n, r", [
+    ("free", 64, 0.7), ("free", 1024, 1.3), ("constant(0.5)", 839, 1.0),
+    ("power_decay(0.9, 0.5)", 1000, 0.7), ("power_decay(0.9, 0.5)", 1000, 1.3),
+])
+def test_log_derivative_at_the_guard_angle_matches_high_precision(name, n, r):
+    # A^2 - |B|^2 vanishes on R; formed directly it loses digits at the
+    # guard angle, and A^2 overflows at n = 1024, |z| = 1.3.  Measured
+    # relative error of the residual form: at most 4e-11.
+    mpmath = pytest.importorskip("mpmath")
+    alpha = {"free": free(), "constant(0.5)": constant(0.5),
+             "power_decay(0.9, 0.5)": power_decay(0.9, 0.5)}[name]
+    seq = materialize(alpha, n)
+    for z in (r * np.exp(1j * GUARD_THETA), r * np.exp(-1j * GUARD_THETA)):
+        got = log_derivative_grid(seq, n, [z])[0]
+        with mpmath.workdps(120):
+            want = _log_derivative_mp(seq.array(n), n, z, mpmath)
+        assert abs(got - want) <= 1e-9 * abs(want), z

@@ -5,7 +5,7 @@ import pytest
 
 from opuczeros import (AnnularSector, OutOfDomainError, QuadratureError,
                        expectation, expected_complex_zeros, expected_real_zeros,
-                       real_intensity_grid)
+                       intensity, real_intensity_grid)
 from opuczeros._quad import _CHUNK, adaptive_gl, adaptive_gl_2d
 from opuczeros.ensembles import free, materialize
 
@@ -87,11 +87,29 @@ def test_a_round_is_evaluated_in_few_integrand_calls(monkeypatch):
     expected_real_zeros(materialize(free(), 4096), 4096, tol=1e-6)
     assert seen["calls"] <= 12
 
+    # the 2-D area route, still behind total_complex_zeros, on the free n = 64
+    # annulus AnnularSector(0, pi, 0.3) with the radial splits it was given
     seen = _counting(monkeypatch, "complex_intensity_grid")
-    expected_complex_zeros(materialize(free(), 64), 64,
-                           AnnularSector(0.0, math.pi, 0.3), tol=1e-6)
+    n = 64
+    arcs = expectation._clip_arcs(0.0, math.pi, expectation.GUARD_THETA)
+    expectation._integrate_sector(materialize(free(), n), n, arcs, 0.7, 1.3, 1e-6,
+                                  (1.0 - 1.0 / n, 1.0, 1.0 + 1.0 / n))
     assert seen["calls"] <= 60
     assert seen["points"] <= 1.25 * 115200
+
+    # the contour route on the same annulus: one sweep of at most one chunk
+    sweeps = []
+    sweep = intensity._sweep
+
+    def counting_sweep(a, z):
+        sweeps.append(np.size(z))
+        return sweep(a, z)
+
+    monkeypatch.setattr(intensity, "_sweep", counting_sweep)
+    expected_complex_zeros(materialize(free(), n), n,
+                           AnnularSector(0.0, math.pi, 0.3), tol=1e-6)
+    assert len(sweeps) <= 2
+    assert sum(sweeps) <= _CHUNK
 
 
 def test_panel_budget_exhaustion_raises():
