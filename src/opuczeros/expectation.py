@@ -9,9 +9,23 @@ nonreal ones that close to R, are not counted.  What remains is a union of
 sectors, and their count is a 1-D integral by the argument principle,
 (1/2 pi i) times the integral of E[P'/P] dz around each sector's boundary
 (the boundary form of the Shepp-Vanderbei area count; Edelman-Kostlan for
-the circular case).  The 2-D route, the complex intensity integrated over
-the same sectors (_integrate_sector), serves the whole-plane total and
-conservation_check, and is the independent check of the contour route.
+the circular case).
+
+The whole-plane total off the band (total_complex_zeros, behind
+conservation_check) is the same integral around the upper-half sector
+g < arg z < pi - g, 0 < |z| < infinity (g = GUARD_THETA), doubled by
+conjugation symmetry: the arc at infinity gives (n - 1)(pi - 2g)/(2 pi)
+exactly, and along the two rays E[P'/P] beyond |z| = 1 comes from the
+reversed polynomial at 1/z, so both rays need values inside the unit disk
+only:
+
+    N = (n - 1)(1 - 2g/pi) + (1/pi) sum_theta s_theta int_0^1
+        Im(e^(i theta) (E[P'/P] + E[P^*'/P^*])(x e^(i theta))) dx,
+
+theta = g (s = +1) and pi - g (s = -1), P^*(u) = u^(n-1) P(1/u).
+
+The 2-D route, the complex intensity integrated over the same sectors
+(_integrate_sector), is the independent check of both contour routes.
 """
 
 import math
@@ -22,9 +36,8 @@ import numpy as np
 
 from ._quad import adaptive_gl, adaptive_gl_2d
 from .errors import OutOfDomainError
-from .intensity import (complex_intensity_grid,
-                        complex_intensity_reversed_grid,
-                        growth_log_derivative, log_derivative_grid,
+from .intensity import (complex_intensity_grid, growth_log_derivative,
+                        log_derivative_grid, log_derivative_pair_grid,
                         real_intensity_grid)
 from .szego import as_verblunsky
 
@@ -32,6 +45,8 @@ from .szego import as_verblunsky
 # counts stay this angle clear of the axis, where the complex intensity and
 # E[P'/P] degenerate
 GUARD_THETA = 1e-5
+# relative rounding floor of a stated contour error
+_ROUNDING = 1e-13
 
 QuadResult = namedtuple("QuadResult", ["value", "error", "prediction"])
 
@@ -216,6 +231,16 @@ def _sector_edges(arcs, r1, r2):
     return np.array(rows)
 
 
+def _rounding_floor(val, err):
+    """(val, err) with err raised to the rounding floor of a 1-D solve.
+
+    The two GL rules of a panel can agree to the last bits while the
+    integrand itself is rounded, so no stated error is below
+    _ROUNDING * max(|val|, 1).
+    """
+    return val, max(err, _ROUNDING * max(abs(val), 1.0))
+
+
 def _contour_count(seq, n, arcs, r1, r2, tol):
     """Expected zeros in the sectors by the argument principle.
 
@@ -225,7 +250,7 @@ def _contour_count(seq, n, arcs, r1, r2, tol):
     adaptive solve: each integrand call is one Szegő sweep, and the
     tolerance applies to the region's total.
     """
-    if not arcs:
+    if not arcs or n == 1:
         return 0.0, 0.0
     edges = _sector_edges(arcs, r1, r2)
     starts = np.concatenate(([0.0], np.cumsum(edges[:, 4])))
@@ -244,7 +269,7 @@ def _contour_count(seq, n, arcs, r1, r2, tol):
         dz = (dr + 1j * rad * dtheta) * e
         return (log_derivative_grid(seq, n, rad * e) * dz).imag / (2.0 * math.pi)
 
-    return adaptive_gl(f, 0.0, starts[-1], tol=tol, splits=splits)
+    return _rounding_floor(*adaptive_gl(f, 0.0, starts[-1], tol=tol, splits=splits))
 
 
 def expected_complex_zeros(alpha, n, region, tol=1e-6, guard=GUARD_THETA):
@@ -282,27 +307,57 @@ def expected_complex_zeros(alpha, n, region, tol=1e-6, guard=GUARD_THETA):
 
 
 def total_complex_zeros(alpha, n, tol=1e-4, guard=GUARD_THETA):
-    """Expected complex zeros over the whole plane (off R).
+    """Expected complex zeros over the whole plane off the guard band around R.
 
-    Zeros outside the closed unit disk are counted as zeros of the reversed
-    polynomial inside it, so both contributions are integrals over the unit
-    disk; conjugation symmetry halves the angular range.
+    By conjugation symmetry this is twice the count in the upper-half sector
+    g < arg z < pi - g (g = guard), 0 < |z| < infinity, taken by the
+    argument principle around its boundary.  The inner arc has zero length;
+    on the arc at infinity E[P'/P] = (n - 1)/z + O(1/z^2) contributes
+    (n - 1)(pi - 2g)/(2 pi); on the rays the (n - 1)/z part is real and
+    drops out.  Beyond |z| = 1 the rays are mapped to u = 1/z inside the
+    disk by E[P'/P](z) = (n - 1)/z - E[P^*'/P^*](1/z)/z^2, where
+    P^*(u) = u^(n-1) P(1/u); with E[P^*'/P^*](conj u) = conj E[P^*'/P^*](u)
+    for real coefficients, both rays need values at x e^(i theta) only:
+
+        N = (n - 1)(1 - 2g/pi) + (1/pi) sum_theta s_theta int_0^1
+            Im(e^(i theta) (E[P'/P] + E[P^*'/P^*])(x e^(i theta))) dx
+
+    over theta = g (s = +1) and theta = pi - g (s = -1).  The two rays lie
+    end to end on one parameter line, with splits graded toward x = 1, in
+    one 1-D adaptive solve; each integrand call is one Szegő sweep
+    (log_derivative_pair_grid).  The tolerance applies to the integral,
+    whose size is about that of the real count.
     """
+    _check_degree(n)
+    if not 0.0 < guard < 0.5 * math.pi:
+        # the rays run along the band's edges, where E[P'/P] must be finite
+        raise OutOfDomainError("complex totals need 0 < guard < pi/2, got %r" % guard)
+    if n == 1:
+        return QuadResult(0.0, 0.0, None)
     seq = as_verblunsky(alpha)
-    arcs = _clip_arcs(0.0, math.pi, guard)
-    rsplits = (0.5, 1.0 - 2.0 / n, 1.0 - 0.5 / n)
-    total = 0.0
-    toterr = 0.0
-    for rho in (complex_intensity_grid, complex_intensity_reversed_grid):
-        val, err = _integrate_sector(seq, n, arcs, 1e-6, 1.0, tol,
-                                     rsplits=rsplits, rho=rho)
-        total += val
-        toterr += err
-    return QuadResult(2.0 * total, 2.0 * toterr, None)
+    rays = np.exp(1j * np.array([guard, math.pi - guard]))
+    inner = _graded_splits(n)
+
+    def f(t):
+        # t in (0, 1) is x = t on the first ray, t in (1, 2) x = 2 - t on the second
+        second = t > 1.0
+        e = rays[second.astype(int)]
+        pair = log_derivative_pair_grid(seq, n, np.where(second, 2.0 - t, t) * e)
+        return np.where(second, -1.0, 1.0) * (e * (pair[0] + pair[1])).imag / math.pi
+
+    val, err = adaptive_gl(f, 0.0, 2.0, tol=tol,
+                           splits=[*inner, 1.0, *(2.0 - x for x in inner)])
+    return QuadResult(*_rounding_floor((n - 1) * (1.0 - 2.0 * guard / math.pi) + val,
+                                       err), None)
 
 
 def conservation_check(alpha, n, tol=1e-4):
-    """Real + complex expected counts against the almost-sure total n - 1."""
+    """Real + complex expected counts against the almost-sure total n - 1.
+
+    real_error and complex_error are the two solves' stated errors.  Beyond
+    them the total falls short of n - 1 by the nonreal zeros inside the
+    guard band, which neither part counts.
+    """
     real = expected_real_zeros(alpha, n, tol=tol)
     cplx = total_complex_zeros(alpha, n, tol=tol)
     total = real.value + cplx.value
@@ -313,4 +368,6 @@ def conservation_check(alpha, n, tol=1e-4):
         "total": total,
         "target": n - 1,
         "defect": total - (n - 1),
+        "real_error": real.error,
+        "complex_error": cplx.error,
     }

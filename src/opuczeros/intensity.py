@@ -20,6 +20,7 @@ from .szego import _sweep, as_verblunsky, evaluate
 CLOSED_CUTOFF = 1e-3
 # complex intensity denominator floor after unscaling (log scale)
 _DEGENERACY_LOG_FLOOR = math.log(1e-300)
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -264,33 +265,47 @@ def complex_intensity_reversed_grid(alpha, n, u, degenerate="raise"):
     return _bundle_intensity(reversed_kernel_bundle(alpha, n, u), degenerate)
 
 
-def _log_derivative(steps):
-    """E[P'/P] folded over complex sweep steps of degrees 0..n-1.
+def _log_derivative(rows):
+    """E[P'/P] folded over the stacked basis rows [v_i, v_i'] of one sweep.
 
-    X = P(z) is a complex Gaussian with E|X|^2 = A = K(z, z) and
-    E X^2 = B = K(z, conj z); Y = P'(z) has E[Y conj X] = C = K^(1,0)(z, z)
-    and E[Y X] = D = K^(1,0)(z, conj z).  Regressing Y on X and conj X and
-    E[conj X / X] = conj B/(A + sqrt(A^2 - |B|^2)) give, with b = B/A and
+    X = P(z) = sum eta_i v_i(z) is a complex Gaussian with
+    E|X|^2 = A = sum |v_i|^2 and E X^2 = B = sum v_i^2; Y = P'(z) has
+    E[Y conj X] = C = sum v_i' conj v_i and E[Y X] = D = sum v_i' v_i (for
+    v_i = phi_i: K(z, z), K(z, conj z), K^(1,0)(z, z), K^(1,0)(z, conj z)).
+    Regressing Y on X and conj X and E[conj X / X] =
+    conj B/(A + sqrt(A^2 - |B|^2)) give, with b = B/A and
     delta = (A^2 - |B|^2)/A^2,
 
         E[P'/P] = (C/A - (D/A) conj(b)/(1 + sqrt(delta))) / sqrt(delta).
 
-    The sums come from the stacked kernel fold and are divided by A, as in
-    _bundle_intensity.  delta vanishes on R, so it is not formed as
-    1 - |b|^2: with phi = x + iy, A^2 - |B|^2 = 4 K R for K = sum x^2 and R
-    the residual of y on x, accumulated as nonnegative terms by
-    _residual_step.
+    rows yields (V, sc) per degree, V = [v_i, v_i'] and sc the sweep's
+    rescale factor.  The sums come from the stacked kernel fold and are
+    divided by A, as in _bundle_intensity.  delta vanishes on R, so it is
+    not formed as 1 - |b|^2: with v = x + iy, A^2 - |B|^2 = 4 K R for
+    K = sum x^2 and R the residual of y on x, accumulated as nonnegative
+    terms by _residual_step.  Until K holds a term, terms whose x^2 is
+    below the smallest normal float are skipped: K = 0 would make the
+    regression 0/0 (the reversed basis underflows at low degrees, see
+    _pair_rows).
     """
     sums = (0.0, 0.0, 0.0)
     k = mu = r = 0.0
+    started = False
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for P, S, sc in steps:
+        for V, sc in rows:
             if sc is not None:
                 sc2 = sc * sc
                 sums = [s / sc2 for s in sums]
                 k, r = k / sc2, r / sc2
-            sums = _complex_terms(sums, P, S)
-            k, mu, r = _residual_step(k, mu, r, P[0].real, P[0].imag)
+            sums = _complex_terms(sums, V, None)
+            x, y = V[0].real, V[0].imag
+            if started:
+                k, mu, r = _residual_step(k, mu, r, x, y)
+            else:
+                keep = x * x >= _TINY
+                k, mu, r = (np.where(keep, new, old) for new, old in
+                            zip(_residual_step(k, mu, r, x, y), (k, mu, r)))
+                started = bool(np.all(k > 0.0))
         (a, _), (b, d), c = sums
         delta = 4.0 * (k / a) * (r / a)
         root = np.sqrt(delta)
@@ -312,7 +327,56 @@ def log_derivative_grid(alpha, n, z):
         return np.zeros(z.shape, dtype=complex)
     if np.any(z.imag == 0.0):
         raise OutOfDomainError("E[P'/P] is singular on the real line")
-    return _log_derivative(_sweep(as_verblunsky(alpha).array(n - 1), z))
+    steps = _sweep(as_verblunsky(alpha).array(n - 1), z)
+    return _log_derivative((P, sc) for P, _, sc in steps)
+
+
+# the reversed basis recomputes its power of u from log u this often (in
+# degrees) and multiplies by 1/u in between
+_POWER_ANCHOR = 32
+
+
+def _pair_rows(steps, n, u):
+    """[phi_i, psi_i] beside [phi_i', psi_i'] per degree of one sweep at u.
+
+    psi_i = u^(n-1-i) phi_i^* is the basis of the reversed polynomial
+    P^*(u) = u^(n-1) P(1/u) = sum eta_i psi_i(u) (real coefficients), and
+    psi_i' = u^(n-1-i) (phi_i^*' + (n-1-i) phi_i^* / u).  The power shrinks
+    with the degree gap, so for small |u| the low degrees underflow (their
+    terms are skipped by _log_derivative); it is recomputed from log u
+    every _POWER_ANCHOR degrees so that a chain started from an underflowed
+    u^(n-1) does not carry its lost digits into the terms that count.
+    """
+    v = 1.0 / u
+    log_u = np.log(u)
+    for i, (P, S, sc) in enumerate(steps):
+        p = n - 1 - i
+        w = np.exp(p * log_u) if i % _POWER_ANCHOR == 0 else w * v
+        phis, dphis = S
+        V = np.concatenate([P, [w * phis, w * (dphis + (p * v) * phis)]], axis=1)
+        yield V, None if sc is None else np.concatenate([sc, sc])
+
+
+def log_derivative_pair_grid(alpha, n, u):
+    """E[P_n'/P_n] and E[P_n^*'/P_n^*] at points u off R, from one sweep.
+
+    P_n^*(u) = u^(n-1) P_n(1/u) is the reversed polynomial, so the second
+    gives E[P_n'/P_n] at z = 1/u through
+
+        E[P_n'/P_n](z) = (n - 1)/z - E[P_n^*'/P_n^*](1/z)/z^2
+
+    without the cancellation of forming it at z: inside the closed unit
+    disk both are folds over the same Szegő sweep at u.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=complex))
+    if n <= 1:
+        return np.zeros(u.shape, dtype=complex), np.zeros(u.shape, dtype=complex)
+    if np.any(u.imag == 0.0):
+        raise OutOfDomainError("E[P'/P] is singular on the real line")
+    if np.any(np.abs(u) > 1.0):
+        raise OutOfDomainError("the reversed fold needs |u| <= 1")
+    f = _log_derivative(_pair_rows(_sweep(as_verblunsky(alpha).array(n - 1), u), n, u))
+    return f[:len(u)], f[len(u):]
 
 
 def _sigma_intensity(alpha, n, z):

@@ -208,5 +208,6 @@ def test_criterion_11_degree_conservation():
         worst = max(worst, abs(rep["defect"]))
         roots = sample_roots(SampleBatch(n=n, alpha=al, seed=n, trials=50))
         assert all(len(r) == n - 1 for r in roots)
-    ok = worst <= 1e-2
+    # measured 4.3e-8 at n = 32: the nonreal zeros inside the guard band
+    ok = worst <= 1e-6
     _report(11, ok, "worst conservation defect %.2e" % worst)

@@ -129,7 +129,8 @@ def test_conservation_check(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["target"] == 15
-    assert abs(doc["total"] - 15.0) < 1e-2
+    assert abs(doc["total"] - 15.0) < 1e-8
+    assert 0.0 < doc["real_error"] < 1e-5 and 0.0 < doc["complex_error"] < 1e-5
 
 
 def test_config_file_supplies_defaults(tmp_path):

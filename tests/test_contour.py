@@ -1,8 +1,9 @@
 """The contour route for complex counts against its oracles.
 
-expected_complex_zeros integrates E[P'/P] around the region's boundary; the
-2-D area route (_integrate_sector over the complex intensity) and a
-high-precision evaluation of E[P'/P] are the independent checks.
+expected_complex_zeros integrates E[P'/P] around the region's boundary and
+total_complex_zeros along two rays; the 2-D area route (_integrate_sector
+over the complex intensity) and a high-precision evaluation of E[P'/P] are
+the independent checks.
 """
 
 import math
@@ -11,10 +12,16 @@ import numpy as np
 import pytest
 
 from opuczeros import (AnnularSector, OutOfDomainError, ScalingWindow,
-                       VerblunskySequence, expectation, expected_complex_zeros)
+                       VerblunskySequence, _quad, expectation,
+                       expected_complex_zeros, intensity, total_complex_zeros)
 from opuczeros.ensembles import constant, free, materialize, power_decay
 from opuczeros.expectation import GUARD_THETA, _clip_arcs, _integrate_sector
-from opuczeros.intensity import log_derivative_grid
+from opuczeros.intensity import (complex_intensity_grid,
+                                 complex_intensity_reversed_grid,
+                                 log_derivative_grid, log_derivative_pair_grid)
+
+# the rounding floor every contour solve states at least
+FLOOR = 1e-13
 
 
 def _seeded(seed, n):
@@ -49,7 +56,7 @@ def test_contour_route_matches_area_route(name, alpha, n, region):
     # imaginary axis but moves the n = 64 annulus by about 2
     got = expected_complex_zeros(alpha, n, region, tol=1e-8)
     area, area_err = _area_count(alpha, n, region, 1e-8)
-    assert got.error <= 1e-8 * max(abs(got.value), 1.0)
+    assert FLOOR * max(abs(got.value), 1.0) <= got.error <= 1e-8 * max(abs(got.value), 1.0)
     assert abs(got.value - area) <= got.error + area_err, name
 
 
@@ -84,7 +91,7 @@ def test_stated_error_is_honest(monkeypatch):
     monkeypatch.setattr(expectation, "_ARC_PANEL", expectation._ARC_PANEL / 2.0)
     for (alpha, n, region, tol), res in zip(draws, got):
         ref = expected_complex_zeros(alpha, n, region, tol=1e-10).value
-        floor = 1e-13 * max(abs(res.value), 1.0)
+        floor = FLOOR * max(abs(res.value), 1.0)
         assert res.error <= tol * max(abs(res.value), 1.0)
         assert abs(res.value - ref) <= res.error + floor, (n, region, tol)
 
@@ -110,6 +117,65 @@ def test_guard_band_must_keep_the_contour_off_the_axis(guard):
     with pytest.raises(OutOfDomainError):
         expected_complex_zeros(materialize(free(), 16), 16,
                                AnnularSector(0.0, math.pi, 0.3), guard=guard)
+    # the total once returned 5.05 at guard 0 and 0.0 at guard nan
+    with pytest.raises(OutOfDomainError):
+        total_complex_zeros(materialize(free(), 8), 8, guard=guard)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_total_needs_a_positive_degree(n):
+    # n = 0 once raised ZeroDivisionError and n = -3 returned 0.0
+    with pytest.raises(OutOfDomainError):
+        total_complex_zeros(materialize(free(), 4), n)
+
+
+def _area_total(alpha, n, tol):
+    """The whole-plane total by the 2-D route: the complex intensity over the
+    upper half disk plus the reversed intensity over it for |z| > 1."""
+    arcs = _clip_arcs(0.0, math.pi, GUARD_THETA)
+    rsplits = (0.5, 1.0 - 2.0 / n, 1.0 - 0.5 / n)
+    parts = [_integrate_sector(alpha, n, arcs, 1e-6, 1.0, tol, rsplits=rsplits, rho=rho)
+             for rho in (complex_intensity_grid, complex_intensity_reversed_grid)]
+    return 2.0 * sum(v for v, _ in parts), 2.0 * sum(e for _, e in parts)
+
+
+@pytest.mark.parametrize("name, alpha, n", [
+    ("power_decay", materialize(power_decay(0.3, 2), 16), 16),
+    ("power_decay", materialize(power_decay(0.3, 2), 32), 32),
+    ("power_decay", materialize(power_decay(0.3, 2), 64), 64),
+    ("seeded", _seeded([7, 2], 32), 32),
+    # the 2-D route at tol 1e-4 stated 0.0026 here and was off by 0.0050
+    ("draw5", _seeded([5, 2], 32), 32),
+    ("free", materialize(free(), 64), 64),
+])
+def test_total_matches_area_route(name, alpha, n):
+    got = total_complex_zeros(alpha, n, tol=1e-6)
+    area, area_err = _area_total(alpha, n, 1e-6)
+    assert FLOOR * max(got.value, 1.0) <= got.error <= 1e-6 * max(got.value, 1.0)
+    assert abs(got.value - area) <= got.error + area_err, name
+
+
+def test_total_solve_sweeps_once_per_round(monkeypatch):
+    rounds, sweeps = [], []
+    estimate, sweep = _quad._estimate, intensity._sweep
+
+    def counting_estimate(*args):
+        rounds.append(1)
+        return estimate(*args)
+
+    def counting_sweep(a, z):
+        sweeps.append(np.size(z))
+        return sweep(a, z)
+
+    monkeypatch.setattr(_quad, "_estimate", counting_estimate)
+    monkeypatch.setattr(intensity, "_sweep", counting_sweep)
+    # constant(0.5) refines toward its real zero at x = 1 for several rounds
+    for alpha, n in ((materialize(free(), 64), 64), (materialize(constant(0.5), 64), 64)):
+        del rounds[:], sweeps[:]
+        total_complex_zeros(alpha, n, tol=1e-6)
+        assert len(sweeps) == len(rounds) >= 1
+        assert max(sweeps) <= _quad._CHUNK
+    assert len(rounds) > 1
 
 
 def _log_derivative_mp(a, n, z, mpmath):
@@ -131,7 +197,7 @@ def _log_derivative_mp(a, n, z, mpmath):
     det = A * A - abs(B) ** 2
     c = (C * A - D * mpmath.conj(B)) / det
     d = (D * A - C * B) / det
-    return complex(c + d * mpmath.conj(B) / (A + mpmath.sqrt(det)))
+    return c + d * mpmath.conj(B) / (A + mpmath.sqrt(det))
 
 
 @pytest.mark.parametrize("name, n, r", [
@@ -149,5 +215,41 @@ def test_log_derivative_at_the_guard_angle_matches_high_precision(name, n, r):
     for z in (r * np.exp(1j * GUARD_THETA), r * np.exp(-1j * GUARD_THETA)):
         got = log_derivative_grid(seq, n, [z])[0]
         with mpmath.workdps(120):
-            want = _log_derivative_mp(seq.array(n), n, z, mpmath)
+            want = complex(_log_derivative_mp(seq.array(n), n, z, mpmath))
         assert abs(got - want) <= 1e-9 * abs(want), z
+
+
+@pytest.mark.parametrize("name, n", [
+    ("free", 32), ("constant(0.5)", 48), ("power_decay(0.9, 0.5)", 64),
+])
+def test_reversed_log_derivative_matches_high_precision(name, n):
+    # reference: E[P^*'/P^*](u) = (n - 1)/u - E[P'/P](1/u)/u^2 at 120 digits,
+    # which cancels 8 digits at |u| = 1e-6 that float64 cannot spare.
+    # There, next to R, Re E[P^*'/P^*] keeps only about 5 digits (measured
+    # 7e-6 relative): C/A - (D/A) conj(b)/(1 + sqrt(delta)) cancels to
+    # sqrt(delta) ~ |u| g.  The totals integrate Im(e^(i theta) E), which
+    # keeps 3e-11.
+    mpmath = pytest.importorskip("mpmath")
+    alpha = {"free": free(), "constant(0.5)": constant(0.5),
+             "power_decay(0.9, 0.5)": power_decay(0.9, 0.5)}[name]
+    seq = materialize(alpha, n)
+    for x in (1e-6, 0.5, 1.0 - 1e-3):
+        for theta in (GUARD_THETA, math.pi - GUARD_THETA):
+            e = np.exp(1j * theta)
+            _, got = log_derivative_pair_grid(seq, n, [x * e])
+            with mpmath.workdps(120):
+                u = mpmath.mpc(x * e)
+                want = complex((n - 1) / u - _log_derivative_mp(seq.array(n), n, 1 / u,
+                                                                mpmath) / u ** 2)
+            assert abs((e * (got[0] - want)).imag) <= 1e-9 * abs(want), (x, theta)
+            rel = 1e-9 if x > 1e-3 else 1e-4
+            assert abs(got[0] - want) <= rel * abs(want), (x, theta)
+
+
+def test_reversed_log_derivative_is_finite_at_high_degree_near_zero():
+    # u^(n - 1) underflows at n = 512, |u| = 1e-6: the low degrees must be
+    # skipped, not folded as 0/0
+    u = 1e-6 * np.exp(1j * np.array([GUARD_THETA, math.pi - GUARD_THETA]))
+    for alpha in (free(), power_decay(0.3, 2)):
+        e, e_rev = log_derivative_pair_grid(materialize(alpha, 512), 512, u)
+        assert np.all(np.isfinite(e)) and np.all(np.isfinite(e_rev))

@@ -58,12 +58,13 @@ def test_quadrature_error_is_honest():
 
 def test_full_annulus_complements_real_line():
     # almost surely n - 1 zeros; the whole-plane complex count complements
-    # the real count exactly, and the delta = 0.5 annulus holds most of it,
-    # short only of the near-axis wings outside (0.5, 1.5)
+    # the real count up to the nonreal zeros inside the guard band (1.8e-8
+    # here), and the delta = 0.5 annulus holds most of it, short only of the
+    # near-axis wings outside (0.5, 1.5)
     n = 64
     real = expected_real_zeros(free_seq(), n).value
     total = total_complex_zeros(free_seq(), n, tol=1e-6).value
-    assert abs(real + total - (n - 1)) < 1e-3
+    assert abs(real + total - (n - 1)) < 1e-7
     sector = AnnularSector(0.0, 2.0 * math.pi, 0.5)
     cplx = expected_complex_zeros(free_seq(), n, sector, tol=1e-6).value
     assert cplx < total
@@ -96,7 +97,8 @@ def test_conservation_small_degrees():
     for n in (4, 8):
         al = VerblunskySequence(values=rng.uniform(-0.6, 0.6, n))
         rep = conservation_check(al, n, tol=1e-6)
-        assert abs(rep["defect"]) < 1e-2
+        # measured 6.2e-10 at n = 8: the guard band's nonreal zeros
+        assert abs(rep["defect"]) < 1e-8
         assert rep["target"] == n - 1
 
 
@@ -111,7 +113,7 @@ def test_total_complex_zeros_free_small():
     # degree-3 free case: 3 zeros total, real part via quadrature
     real = expected_real_zeros(free_seq(), 4).value
     cplx = total_complex_zeros(free_seq(), 4, tol=1e-6).value
-    assert abs(real + cplx - 3.0) < 5e-3
+    assert abs(real + cplx - 3.0) < 1e-9
 
 
 def test_region_validation():

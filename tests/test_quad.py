@@ -87,7 +87,7 @@ def test_a_round_is_evaluated_in_few_integrand_calls(monkeypatch):
     expected_real_zeros(materialize(free(), 4096), 4096, tol=1e-6)
     assert seen["calls"] <= 12
 
-    # the 2-D area route, still behind total_complex_zeros, on the free n = 64
+    # the 2-D area route, the contour route's oracle, on the free n = 64
     # annulus AnnularSector(0, pi, 0.3) with the radial splits it was given
     seen = _counting(monkeypatch, "complex_intensity_grid")
     n = 64
