@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +12,11 @@ from opuczeros import (AnnularSector, RealInterval, SampleBatch,
                        expected_complex_zeros, expected_real_zeros,
                        sample_roots)
 from opuczeros.expectation import ScalingWindow
-from opuczeros.montecarlo import _normals, is_real_root
+from opuczeros.errors import RootFindingError
+from opuczeros.montecarlo import (_EXP_M2, _ggt_matrix, _ndtri, _uniforms,
+                                  is_real_root)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def free_seq():
@@ -18,6 +25,57 @@ def free_seq():
 
 def pd_seq():
     return VerblunskySequence(generator=lambda k: 0.3 / max(k, 1) ** 2 if k else 0.3)
+
+
+def _normals(seed, trial, size, attempt=0):
+    return _ndtri(_uniforms(seed, trial, size, attempt))
+
+
+def test_package_import_loads_no_scipy():
+    code = ("import sys; sys.path.insert(0, %r); import opuczeros, opuczeros.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))" % SRC)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "[]"
+
+
+def _ndtri_points():
+    rng = np.random.default_rng(8)
+    return np.concatenate([[2.0 ** -53, 1.0 - 2.0 ** -53, _EXP_M2, 1.0 - _EXP_M2, 0.5],
+                           rng.integers(1, 1 << 53, size=200) / float(1 << 53)])
+
+
+def test_ndtri_matches_high_precision():
+    mpmath = pytest.importorskip("mpmath")
+    u = _ndtri_points()
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(x) - 1))
+                        for x in u])
+    assert np.all(np.abs(_ndtri(u) - ref) <= 4 * np.spacing(np.abs(ref)))
+
+
+def test_ndtri_is_odd():
+    u = _ndtri_points()
+    # 1 - u is exact for u = k / 2^53; the branches are odd in u - 1/2 and
+    # mirror each other across the tails, up to where 1 - e^-2 rounds
+    assert np.array_equal(_ndtri(1.0 - u[5:]), -_ndtri(u[5:]))
+    np.testing.assert_array_max_ulp(_ndtri(1.0 - u), -_ndtri(u), maxulp=1)
+
+
+def test_ndtri_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    u = np.random.default_rng(9).integers(1, 1 << 53, size=100000) / float(1 << 53)
+    np.testing.assert_array_max_ulp(_ndtri(u), special.ndtri(u), maxulp=8)
+
+
+def test_ggt_characteristic_polynomial_is_monic_szego():
+    rng = np.random.default_rng(4)
+    for m in (1, 2, 5, 12):
+        a = rng.uniform(-0.8, 0.8, m)
+        G, rho = _ggt_matrix(a, m)
+        B = basis_matrix(a, m + 1)
+        assert np.allclose(np.poly(G)[::-1], B[m] / B[m, m], atol=1e-12)
+        assert rho == math.sqrt(1.0 - a[-1] ** 2)
 
 
 def test_basis_matrix_free_is_monomials():
@@ -70,12 +128,56 @@ def test_sampling_is_deterministic():
         assert np.array_equal(ra, rb)
 
 
+def test_multi_chunk_sampling_is_independent_of_threads_and_batch_size():
+    # m = 63: 2^17 // 63^2 = 33 matrices per chunk, so 100 trials are 4 chunks
+    batch = SampleBatch(n=64, alpha=pd_seq(), seed=5, trials=100)
+    serial = sample_roots(batch, threads=1)
+    threaded = sample_roots(batch, threads=3)
+    longer = sample_roots(SampleBatch(n=64, alpha=pd_seq(), seed=5, trials=150))
+    assert len(serial) == len(threaded) == 100
+    for a, b, c in zip(serial, threaded, longer):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+
+
+def test_underflowing_draws_are_resampled(monkeypatch, caplog):
+    import opuczeros.montecarlo as mc
+    batch = SampleBatch(n=6, alpha=pd_seq(), seed=12, trials=30)
+    # a threshold this high makes redraws common; 1.0 rejects every draw
+    monkeypatch.setattr(mc, "_UNDERFLOW", 0.25)
+    roots = sample_roots(batch)
+    B = basis_matrix(pd_seq(), 6)
+    redrawn = 0
+    for trial, rr in enumerate(roots):
+        for attempt in range(mc._MAX_ATTEMPTS):
+            eta = _normals(12, trial, 6, attempt)
+            if abs(eta[-1]) > 0.25 * np.max(np.abs(eta)):
+                break
+        redrawn += attempt
+        assert np.allclose(np.sort_complex(rr), np.sort_complex(np.roots((eta @ B)[::-1])))
+    assert redrawn > 0
+    assert len([r for r in caplog.records if "resampling" in r.getMessage()]) == redrawn
+    monkeypatch.setattr(mc, "_UNDERFLOW", 1.0)
+    with pytest.raises(RootFindingError):
+        sample_roots(batch)
+
+
 def test_threaded_sampling_matches_serial():
     batch = SampleBatch(n=14, alpha=free_seq(), seed=77, trials=40)
     serial = sample_roots(batch, threads=1)
     threaded = sample_roots(batch, threads=4)
     for ra, rb in zip(serial, threaded):
         assert np.array_equal(ra, rb)
+
+
+def test_constant_half_real_count_matches_reference():
+    # 3.296284168653697 is perfbench/references.json real/constant:0.5/128, a
+    # 200-bit reference; the monomial expansion overcounted it by 10-14 se
+    n = 128
+    batch = SampleBatch(n=n, alpha=VerblunskySequence(generator=lambda k: 0.5),
+                        seed=n, trials=200)
+    rep = count_in_region(sample_roots(batch), WholeRealLine())
+    assert np.all(np.mod(rep.counts - (n - 1), 2) == 0)
+    assert abs(rep.mean_count - 3.296284168653697) <= 5.0 * rep.std_error
 
 
 def test_whole_plane_count_is_degree_minus_one():
