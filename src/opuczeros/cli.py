@@ -107,8 +107,16 @@ def _load_config_file(args):
     """Config file is a flat JSON object; explicit flags override it."""
     if not args.config:
         return args
-    with open(args.config) as fh:
-        data = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InvalidCoefficientError("cannot read --config %r: %s"
+                                      % (args.config, exc.strerror)) from None
+    except UnicodeDecodeError:
+        raise InvalidCoefficientError("--config %r is not UTF-8 text" % args.config) from None
+    if not isinstance(data, dict):
+        raise InvalidCoefficientError("--config %r must hold a JSON object" % args.config)
     for key, value in data.items():
         attr = key.replace("-", "_")
         if getattr(args, attr, None) in (None, False):

@@ -48,6 +48,7 @@ REAL_ROOT_TOL = 1e-8
 _UNDERFLOW = 1e-250
 _MAX_ATTEMPTS = 8
 _CHUNK_ENTRIES = 1 << 17     # matrix entries per eigvals call (1 MB of float64)
+_COUNT_ENTRIES = 1 << 14     # roots per stacked counting block (256 kB of complex128)
 
 # cephes ndtri: y - 1/2 rational in (y - 1/2)^2 on [e^-2, 1 - e^-2], and
 # rational corrections in 1/x, x = sqrt(-2 log y), on the tails (x < 8 and
@@ -103,6 +104,8 @@ class SampleBatch:
             raise OutOfDomainError("trials must be >= 1")
         if self.n < 2:
             raise OutOfDomainError("sampling needs n >= 2")
+        if self.seed < 0:
+            raise OutOfDomainError("seed must be >= 0")
 
 
 @dataclass
@@ -221,27 +224,28 @@ def is_real_root(roots):
 
 
 def _count_in_sector(roots, theta1, theta2, r1, r2):
-    """Strictly nonreal roots with r1 < |z| < r2 and arg z in the arc.
+    """Per trial (row), strictly nonreal roots with r1 < |z| < r2 and arg z in the arc.
 
     Planar regions count strictly nonreal zeros, matching the
     complex-intensity quadrature; real zeros belong to line regions.
     """
-    roots = roots[~is_real_root(roots)]
     r = np.abs(roots)
     lo = np.mod(theta1, 2.0 * np.pi)
     rel = np.mod(np.mod(np.angle(roots), 2.0 * np.pi) - lo, 2.0 * np.pi)
-    return int(np.count_nonzero((r > r1) & (r < r2) & (rel < theta2 - theta1)))
+    inside = ~is_real_root(roots) & (r > r1) & (r < r2) & (rel < theta2 - theta1)
+    return np.count_nonzero(inside, axis=-1)
 
 
-def _count_one(roots, region):
+def _counts(roots, region):
+    """Per-trial counts in region from the stacked (trials, n - 1) roots."""
     if isinstance(region, WholePlane):
-        return len(roots)
+        return np.full(len(roots), roots.shape[-1])
     if isinstance(region, WholeRealLine):
-        return int(np.count_nonzero(is_real_root(roots)))
+        return np.count_nonzero(is_real_root(roots), axis=-1)
     if isinstance(region, RealInterval):
-        mask = is_real_root(roots)
-        xr = roots.real[mask]
-        return int(np.count_nonzero((region.a <= xr) & (xr <= region.b)))
+        x = roots.real
+        return np.count_nonzero(is_real_root(roots) & (region.a <= x) & (x <= region.b),
+                                axis=-1)
     if isinstance(region, AnnularSector):
         return _count_in_sector(roots, region.theta1, region.theta2,
                                 1.0 - region.delta, 1.0 + region.delta)
@@ -259,14 +263,26 @@ def _report(region, counts):
                            trials=len(counts), counts=counts)
 
 
+def _stacked(roots_list, count):
+    """count(rows) over row blocks of the stacked roots, about _COUNT_ENTRIES each.
+
+    roots_list holds one root array per trial, all of one length, as
+    sample_roots returns them.  Blocks keep the temporaries of the count
+    small next to the roots themselves.
+    """
+    step = max(1, _COUNT_ENTRIES // max(1, len(roots_list[0])))
+    return np.concatenate([count(np.stack(roots_list[s:s + step]))
+                           for s in range(0, len(roots_list), step)])
+
+
 def count_in_region(roots_list, region):
     """Per-trial counts with mean and standard error."""
-    return _report(region, [_count_one(r, region) for r in roots_list])
+    return _report(region, _stacked(roots_list, lambda rows: _counts(rows, region)))
 
 
 def count_in_scaling_window(roots_list, window, n):
     """Counts in {r e^{i theta}: r in (1 + tau1/2n, 1 + tau2/2n), theta in arc}."""
     r1 = 1.0 + window.tau1 / (2.0 * n)
     r2 = 1.0 + window.tau2 / (2.0 * n)
-    return _report(window, [_count_in_sector(r, window.theta1, window.theta2, r1, r2)
-                            for r in roots_list])
+    return _report(window, _stacked(roots_list, lambda rows: _count_in_sector(
+        rows, window.theta1, window.theta2, r1, r2)))

@@ -26,6 +26,27 @@ could use it up; a shrink is safe until either of its two bounds says
 otherwise.  A check can come early but never late, so every rescale lands
 on the same degree with the same power of 2 as checking every step would:
 outputs, log scales included, are bit-identical.
+
+Each check also flushes underflow: every mantissa whose modulus is below
+2^-1022, the smallest normal float, becomes 0 (times 0, so it keeps its
+sign).  Where the four values at a point span more than the float range
+the small one underflows; with alpha = 0, phi_k(x) = x^k falls below
+2^-1022 near degree 1022/log2(1/|x|) while phi^* = 1.  Gradual underflow
+never takes it to 0: for 1/2 < |x| < 1, x times the smallest subnormal
+rounds back to itself, so phi_4096(0.6) would stick at 5e-324 where the
+true value, about 1e-909, rounds to 0.  That stuck value is a rounding
+artifact, and every step carrying it runs the slow subnormal path of the
+floating-point unit.  The flush waits for the scheduled check rather than
+running every step, which keeps the normal-range values: through the sums
+of a step a value below 2^-1022 can change the rounding of another element
+only when that element is below about 2^-968 (half an ulp of it).  The
+tests' reference sweep flushes after every step and matches bit for bit.
+Compared with not flushing, only raw mantissas below 2^-968 change: the
+subnormals become 0, and a derivative still in that band while phi
+underflows loses the phi terms (phi_n' of the free ensemble at n = 4096,
+x = 0.84, is about 3.4e-307 and moves by 0.8%).  Rescale degrees, powers of
+2 and log scales stay the same, and so do the kernel sums, intensities and
+counts folded from the sweep on the benchmark grids.
 """
 
 import math
@@ -40,6 +61,7 @@ ALPHA_BOUND = 1.0 - 1e-12
 
 _MAG_HIGH = 1e100
 _MAG_LOW = 1e-100
+_TINY = np.finfo(float).tiny
 
 
 def _validate_block(arr, offset=0):
@@ -128,13 +150,18 @@ def _headroom(ratio):
 def _rescale(P, S):
     """Pull the stacked mantissas back into [1e-100, 1e100] by a power of 2.
 
-    Divides P and S in place.  Returns the applied factor (ones where
-    untouched; None when no point needed it) and the bits of headroom left,
-    less one bit for rounding: how far the four-max may grow, how far
-    max(|phi|, |phi^*|) may shrink, and how far the four-max may shrink
-    before a mantissa could leave the range.
+    First zeroes, in place, every mantissa whose modulus is below the
+    smallest normal float (2^-1022): it underflowed against the larger
+    values at its point, and a subnormal left in the state only costs slow
+    arithmetic (see the module docstring).  Then divides P and S in place.
+    Returns the applied factor (ones where untouched; None when no point
+    needed it) and the bits of headroom left, less one bit for rounding: how
+    far the four-max may grow, how far max(|phi|, |phi^*|) may shrink, and
+    how far the four-max may shrink before a mantissa could leave the range.
     """
     aP, aS = np.abs(P), np.abs(S)
+    P[aP < _TINY] *= 0.0
+    S[aS < _TINY] *= 0.0
     m = np.maximum(aP.max(0), aS.max(0))
     low = np.maximum(aP[0], aS[0])
     mask = (m > _MAG_HIGH) | ((m > 0) & (m < _MAG_LOW))

@@ -189,6 +189,22 @@ def test_missing_config_file_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_seed_and_config_files_are_input_errors(tmp_path, capsys):
+    array_cfg = tmp_path / "array.json"
+    array_cfg.write_text(json.dumps([{"n": 8}]))
+    binary_cfg = tmp_path / "binary.json"
+    binary_cfg.write_bytes(b"\xff\xfe{")
+    grid = ["intensity", "--n", "4", "--real-grid=-1:1:3", "--config"]
+    cases = [["mc", "--n", "8", "--trials", "4", "--seed", "-1"],
+             grid + [str(array_cfg)],
+             grid + [str(tmp_path)],
+             grid + [str(binary_cfg)]]
+    for argv in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, (argv, err)
+
+
 def test_numerical_failure_exit_code(capsys):
     # an impossible quadrature budget surfaces as a numerical failure
     rc = main(["expected-zeros", "--n", "2", "--tolerance", "1e-18"])

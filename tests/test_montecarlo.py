@@ -11,6 +11,7 @@ from opuczeros import (AnnularSector, RealInterval, SampleBatch,
                        basis_matrix, count_in_region, count_in_scaling_window,
                        expected_complex_zeros, expected_real_zeros,
                        sample_roots)
+from opuczeros import montecarlo
 from opuczeros.expectation import ScalingWindow
 from opuczeros.errors import RootFindingError
 from opuczeros.montecarlo import (_EXP_M2, _ggt_matrix, _ndtri, _uniforms,
@@ -243,3 +244,52 @@ def test_batch_validation():
         SampleBatch(n=1, alpha=free_seq(), seed=0, trials=5)
     with pytest.raises(ValueError):
         SampleBatch(n=4, alpha=free_seq(), seed=0, trials=0)
+    with pytest.raises(ValueError):
+        SampleBatch(n=4, alpha=free_seq(), seed=-1, trials=5)
+
+
+def _sector_count_one(roots, theta1, theta2, r1, r2):
+    roots = roots[~is_real_root(roots)]
+    r = np.abs(roots)
+    lo = np.mod(theta1, 2.0 * np.pi)
+    rel = np.mod(np.mod(np.angle(roots), 2.0 * np.pi) - lo, 2.0 * np.pi)
+    return int(np.count_nonzero((r > r1) & (r < r2) & (rel < theta2 - theta1)))
+
+
+def _count_one(roots, region):
+    """Per-trial reference count: one call per root array."""
+    if isinstance(region, WholePlane):
+        return len(roots)
+    real = roots.real[is_real_root(roots)]
+    if isinstance(region, WholeRealLine):
+        return len(real)
+    if isinstance(region, RealInterval):
+        return int(np.count_nonzero((region.a <= real) & (real <= region.b)))
+    return _sector_count_one(roots, region.theta1, region.theta2,
+                             1.0 - region.delta, 1.0 + region.delta)
+
+
+@pytest.mark.parametrize("block", [montecarlo._COUNT_ENTRIES, 100])
+def test_stacked_counts_match_per_trial_counts(monkeypatch, block):
+    # block = 100 counts 4 trials per stacked block, the last one partial
+    monkeypatch.setattr(montecarlo, "_COUNT_ENTRIES", block)
+    n = 24
+    roots = sample_roots(SampleBatch(n=n, alpha=pd_seq(), seed=5, trials=301))
+    # exact real roots, roots on region edges and a root within the real tolerance
+    roots[0] = np.concatenate([[-0.5, 0.5, 1.0, -1.0, 0.3 + 1e-10j, 1.2j, -1.2j],
+                               roots[0][7:]])
+    regions = [WholePlane(), WholeRealLine(), RealInterval(-0.5, 0.5),
+               RealInterval(-3.0, -0.9), AnnularSector(0.0, math.pi, 0.3),
+               AnnularSector(-1.0, 1.5, 0.5), AnnularSector(5.5, 7.0, 0.2),
+               AnnularSector(math.pi / 2.0, math.pi / 2.0 + 1e-3, 0.25)]
+    for region in regions:
+        rep = count_in_region(roots, region)
+        want = [_count_one(r, region) for r in roots]
+        assert rep.counts.tolist() == want, region
+    for win in (ScalingWindow(0.5, 2.5, -4.0, 4.0), ScalingWindow(-2.0, 1.0, -20.0, 0.0)):
+        rep = count_in_scaling_window(roots, win, n)
+        want = [_sector_count_one(r, win.theta1, win.theta2, 1.0 + win.tau1 / (2.0 * n),
+                                  1.0 + win.tau2 / (2.0 * n)) for r in roots]
+        assert rep.counts.tolist() == want, win
+    with pytest.raises(ValueError):
+        count_in_region(roots, ScalingWindow(0.5, 2.5, -4.0, 4.0))

@@ -6,8 +6,12 @@ import pytest
 from opuczeros import (InvalidCoefficientError, VerblunskySequence, blaschke,
                        evaluate, kappa_log, regularity_epsilon, szego)
 from opuczeros.ensembles import constant, materialize, power_decay
+from opuczeros.intensity import (CLOSED_CUTOFF, _closed_rho, _inverted, _kernel_rho,
+                                 real_intensity_grid)
 from opuczeros.kernels import (kernel_bundle, kernel_direct,
                                reversed_kernel_bundle)
+
+_TINY = np.finfo(float).tiny
 
 
 def test_free_case_is_monomial():
@@ -178,8 +182,12 @@ def test_large_degree_outside_disk_does_not_overflow():
     assert ev.log_scale > 1000.0  # ~ 5000 log 3
 
 
-def _oracle_sweep(a, z):
-    """Reference sweep: four separate arrays, a rescale check after every step."""
+def _oracle_sweep(a, z, flush=True):
+    """Reference sweep: four separate arrays, a rescale check after every step.
+
+    flush=True zeroes every value whose modulus is below the smallest normal
+    float before the check, as the engine's checks do.
+    """
     v = [np.ones_like(z), np.ones_like(z), np.zeros_like(z), np.zeros_like(z)]
     yield v, None
     for ak in a:
@@ -188,6 +196,8 @@ def _oracle_sweep(a, z):
         zphi = z * phi
         v = [(zphi - ak * phis) * s, (phis - ak * zphi) * s,
              (phi + z * dphi - ak * dphis) * s, (dphis - ak * (phi + z * dphi)) * s]
+        if flush:
+            v = [np.where(np.abs(x) < _TINY, x * 0.0, x) for x in v]
         m = np.maximum(np.maximum(np.abs(v[0]), np.abs(v[1])),
                        np.maximum(np.abs(v[2]), np.abs(v[3])))
         mask = (m > 1e100) | ((m > 0) & (m < 1e-100))
@@ -321,3 +331,33 @@ def test_rescale_checks_are_scheduled(monkeypatch):
     calls.clear()
     evaluate(materialize(constant(0.5), 2000), 2000, np.array([1.0, -1.0]))
     assert 0 < len(calls) <= 100
+
+
+@pytest.mark.parametrize("x", [0.6, 0.75])
+def test_free_underflow_reads_zero(x):
+    # phi_4096 = x^4096 and phi' = 4096 x^4095 round to 0; without the flush
+    # u * (one subnormal unit) rounds back to itself and stays at 5e-324
+    ev = evaluate(VerblunskySequence(generator=lambda k: 0.0), 4096, np.array([x]))
+    assert _same_bytes(ev.phi, np.array([x ** 4096]))
+    assert _same_bytes(ev.dphi, np.array([0.0]))
+    assert ev.phi_star[0] == 1.0 and ev.log_scale[0] == 0.0
+
+
+def test_real_intensity_grid_matches_unflushed_reference():
+    # the values the engine flushes reach the closed form only through
+    # b = phi/phi^* and its derivative, whose squares round to 0 either way
+    n = 4096
+    a = np.zeros(n)
+    x = np.concatenate([np.linspace(-2.0, 2.0, 401), [-0.9998, 0.9998]])
+    closed = np.abs(1.0 - x * x) > CLOSED_CUTOFF
+    xc = x[closed]
+    u = _inverted(xc)
+    for v, _ in _oracle_sweep(a, u, flush=False):
+        pass
+    want = np.empty(x.shape)
+    want[closed] = _closed_rho(np.array([v[0], v[2]]), np.array([v[1], v[3]]), xc, u)
+    steps = _oracle_sweep(a[:n - 1], x[~closed], flush=False)
+    want[~closed] = _kernel_rho((np.array([v[0], v[2]]), None, sc) for v, sc in steps)
+    assert np.count_nonzero(~closed) == 4
+    got = real_intensity_grid(VerblunskySequence(generator=lambda k: 0.0), n, x)
+    assert _same_bytes(got, want)
