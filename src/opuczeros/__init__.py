@@ -4,22 +4,29 @@ __version__ = "0.1.0"
 
 from .errors import (InvalidCoefficientError, OpuczError, OutOfDomainError,
                      QuadratureError, RootFindingError)
-from .szego import (SzegoEval, VerblunskySequence, blaschke, evaluate,
-                    kappa_log, regularity_epsilon)
-from .kernels import KernelBundle, christoffel, kernel_bundle, kernel_cd, kernel_direct
-from .intensity import (IntensityValue, complex_intensity, complex_intensity_grid,
-                        growth_log_derivative, limit_complex_density,
-                        limit_real_density, real_intensity_closed,
-                        real_intensity_grid, real_intensity_kernel,
-                        scaling_limit_density)
-from .para import (ParaSpectrum, caratheodory, h_via_caratheodory, para_poly,
-                   para_spectrum)
-from .ensembles import (EnsembleSpec, constant, explicit, free, geronimus,
-                        geronimus_alphas, materialize, moments_from_verblunsky,
-                        parse_ensemble, power_decay, verblunsky_from_moments)
-from .expectation import (AnnularSector, QuadResult, RealInterval, ScalingWindow,
+from .szego import VerblunskySequence, evaluate
+from .intensity import (complex_intensity, growth_log_derivative,
+                        limit_complex_density, limit_real_density,
+                        real_intensity_grid, scaling_limit_density)
+from .expectation import (AnnularSector, RealInterval, ScalingWindow,
                           WholePlane, WholeRealLine, conservation_check,
                           expected_complex_zeros, expected_real_zeros,
                           total_complex_zeros)
-from .montecarlo import (SampleBatch, ZeroCountReport, basis_matrix,
-                         count_in_region, count_in_scaling_window, sample_roots)
+from .para import para_spectrum
+from .montecarlo import (SampleBatch, count_in_region, count_in_scaling_window,
+                         sample_roots)
+
+__all__ = [
+    "InvalidCoefficientError", "OpuczError", "OutOfDomainError",
+    "QuadratureError", "RootFindingError",
+    "VerblunskySequence", "evaluate",
+    "real_intensity_grid", "complex_intensity", "limit_real_density",
+    "limit_complex_density", "scaling_limit_density", "growth_log_derivative",
+    "AnnularSector", "RealInterval", "ScalingWindow", "WholePlane",
+    "WholeRealLine",
+    "expected_real_zeros", "expected_complex_zeros", "total_complex_zeros",
+    "conservation_check",
+    "para_spectrum",
+    "SampleBatch", "sample_roots", "count_in_region",
+    "count_in_scaling_window",
+]

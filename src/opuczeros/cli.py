@@ -22,8 +22,9 @@ from .ensembles import (geronimus, materialize, moments_from_verblunsky,
 from .expectation import (AnnularSector, RealInterval, ScalingWindow,
                           WholeRealLine, conservation_check,
                           expected_complex_zeros, expected_real_zeros)
-from .intensity import (growth_log_derivative, real_intensity_closed_grid,
-                        real_intensity_kernel_grid, scaling_limit_density)
+from .intensity import (CLOSED_CUTOFF, growth_log_derivative,
+                        real_intensity_closed_grid, real_intensity_kernel_grid,
+                        scaling_limit_density)
 from .montecarlo import (SampleBatch, count_in_region, count_in_scaling_window,
                          sample_roots)
 from .para import para_spectrum
@@ -118,9 +119,13 @@ def _load_config_file(args):
     if not isinstance(data, dict):
         raise InvalidCoefficientError("--config %r must hold a JSON object" % args.config)
     for key, value in data.items():
+        # a string or number reads as the text of the flag would
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise InvalidCoefficientError("--config %r: %r must be a string or a "
+                                          "number" % (args.config, key))
         attr = key.replace("-", "_")
-        if getattr(args, attr, None) in (None, False):
-            setattr(args, attr, value)
+        if getattr(args, attr, None) is None:
+            setattr(args, attr, str(value))
     return args
 
 
@@ -131,7 +136,7 @@ def _cmd_intensity(args):
     alpha = materialize(spec, n)
     rho_kernel = real_intensity_kernel_grid(alpha, n, xs)
     rho_closed = np.full(xs.shape, np.nan)
-    ok = np.abs(1.0 - xs * xs) > 1e-3
+    ok = np.abs(1.0 - xs * xs) > CLOSED_CUTOFF
     if np.any(ok):
         rho_closed[ok] = real_intensity_closed_grid(alpha, n, xs[ok])
     config = {"command": "intensity", "ensemble": spec.label(), "n": n,

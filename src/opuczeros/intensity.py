@@ -3,7 +3,9 @@
 The real intensity has two independent evaluation routes (kernel quotient
 and closed Blaschke form); the complex intensity likewise (three-term kernel
 formula and the sigma-decomposition).  Routes agree to near machine accuracy
-away from their respective degeneracies and tests enforce this.
+away from their respective degeneracies and tests enforce this.  The kernel
+route and E[P'/P] are term functions folded over one Szegő sweep by
+``szego._fold``, which owns the rescale mirroring.
 """
 
 import itertools
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .kernels import _complex_terms, kernel_bundle, reversed_kernel_bundle
-from .szego import _sweep, as_verblunsky, evaluate
+from .szego import _fold, _sweep, as_verblunsky, evaluate
 
 # dispatch from the closed form to the kernel form near x = +-1
 CLOSED_CUTOFF = 1e-3
@@ -30,7 +32,6 @@ class IntensityValue:
     z: complex
     rho: float
     route: str
-    raw_radicand: float = None
 
 
 def _clamped_sqrt(r):
@@ -89,17 +90,13 @@ def _kernel_rho(steps):
     (_residual_step of phi' on phi), so R is a sum of nonnegative terms.
     K K^(1,1) - (K^(1,0))^2 from the three sums instead cancels every digit
     where the polynomials grow geometrically (19 at x = 1 - 1e-9 for
-    constant(0.5), n = 839), and its products of mantissas overflow.  A
-    rescale by sc divides K and R by sc^2; the ratio mu keeps its value.
+    constant(0.5), n = 839), and its products of mantissas overflow.  K and
+    R are quadratic in the sweep values; the ratio mu is not.
     """
-    k = mu = r = 0.0
     # where K underflows to 0, e / K is not finite; that raises below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for P, S, sc in steps:
-            if sc is not None:
-                sc2 = sc * sc
-                k, r = k / sc2, r / sc2
-            k, mu, r = _residual_step(k, mu, r, *P)
+        (k, _, r), _ = _fold(steps, lambda state, P, S: _residual_step(*state, *P),
+                             (0.0, 0.0, 0.0), (True, False, True))
     if not np.all((k > 0.0) & np.isfinite(r)):
         raise OutOfDomainError("K_n(x, x) underflowed against K_n^(1,1)(x, x) "
                                "at the requested point; too close to x = +-1 "
@@ -146,13 +143,9 @@ def real_intensity_closed_grid(alpha, n, x):
     inversion identity rho(1/x) = x^2 rho(x).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if n <= 1:
-        return np.zeros(x.shape)
-    if np.any(np.abs(1.0 - x * x) <= CLOSED_CUTOFF):
+    if n > 1 and np.any(np.abs(1.0 - x * x) <= CLOSED_CUTOFF):
         raise OutOfDomainError("closed form unstable near x = +-1; use the kernel form")
-    u = _inverted(x)
-    ev = evaluate(alpha, n, u)
-    return _closed_rho((ev.phi, ev.dphi), (ev.phi_star, ev.dphi_star), x, u)
+    return real_intensity_grid(alpha, n, x)
 
 
 def real_intensity_grid(alpha, n, x):
@@ -265,7 +258,7 @@ def complex_intensity_reversed_grid(alpha, n, u, degenerate="raise"):
     return _bundle_intensity(reversed_kernel_bundle(alpha, n, u), degenerate)
 
 
-def _log_derivative(rows):
+def _log_derivative(steps):
     """E[P'/P] folded over the stacked basis rows [v_i, v_i'] of one sweep.
 
     X = P(z) = sum eta_i v_i(z) is a complex Gaussian with
@@ -278,35 +271,30 @@ def _log_derivative(rows):
 
         E[P'/P] = (C/A - (D/A) conj(b)/(1 + sqrt(delta))) / sqrt(delta).
 
-    rows yields (V, sc) per degree, V = [v_i, v_i'] and sc the sweep's
-    rescale factor.  The sums come from the stacked kernel fold and are
-    divided by A, as in _bundle_intensity.  delta vanishes on R, so it is
-    not formed as 1 - |b|^2: with v = x + iy, A^2 - |B|^2 = 4 K R for
+    steps yields (V, S, sc) per degree with V = [v_i, v_i'], as the sweep
+    does (S is not read).  The sums come from the stacked kernel fold and
+    are divided by A, as in _bundle_intensity.  delta vanishes on R, so it
+    is not formed as 1 - |b|^2: with v = x + iy, A^2 - |B|^2 = 4 K R for
     K = sum x^2 and R the residual of y on x, accumulated as nonnegative
     terms by _residual_step.  Until K holds a term, terms whose x^2 is
     below the smallest normal float are skipped: K = 0 would make the
     regression 0/0 (the reversed basis underflows at low degrees, see
     _pair_rows).
     """
-    sums = (0.0, 0.0, 0.0)
-    k = mu = r = 0.0
-    started = False
+    def add(state, V, S):
+        *sums, k, mu, r, started = state
+        x, y = V[0].real, V[0].imag
+        kmr = _residual_step(k, mu, r, x, y)
+        if not started:
+            keep = x * x >= _TINY
+            kmr = tuple(np.where(keep, new, old) for new, old in zip(kmr, (k, mu, r)))
+            started = bool(np.all(kmr[0] > 0.0))
+        return _complex_terms(sums, V, S) + kmr + (started,)
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for V, sc in rows:
-            if sc is not None:
-                sc2 = sc * sc
-                sums = [s / sc2 for s in sums]
-                k, r = k / sc2, r / sc2
-            sums = _complex_terms(sums, V, None)
-            x, y = V[0].real, V[0].imag
-            if started:
-                k, mu, r = _residual_step(k, mu, r, x, y)
-            else:
-                keep = x * x >= _TINY
-                k, mu, r = (np.where(keep, new, old) for new, old in
-                            zip(_residual_step(k, mu, r, x, y), (k, mu, r)))
-                started = bool(np.all(k > 0.0))
-        (a, _), (b, d), c = sums
+        state, _ = _fold(steps, add, (0.0,) * 6 + (False,),
+                         (True,) * 4 + (False, True, False))
+        (a, _), (b, d), c, k, _, r, _ = state
         delta = 4.0 * (k / a) * (r / a)
         root = np.sqrt(delta)
         f = (c / a - (d / a) * np.conj(b / a) / (1.0 + root)) / root
@@ -327,8 +315,7 @@ def log_derivative_grid(alpha, n, z):
         return np.zeros(z.shape, dtype=complex)
     if np.any(z.imag == 0.0):
         raise OutOfDomainError("E[P'/P] is singular on the real line")
-    steps = _sweep(as_verblunsky(alpha).array(n - 1), z)
-    return _log_derivative((P, sc) for P, _, sc in steps)
+    return _log_derivative(_sweep(as_verblunsky(alpha).array(n - 1), z))
 
 
 # the reversed basis recomputes its power of u from log u this often (in
@@ -354,7 +341,7 @@ def _pair_rows(steps, n, u):
         w = np.exp(p * log_u) if i % _POWER_ANCHOR == 0 else w * v
         phis, dphis = S
         V = np.concatenate([P, [w * phis, w * (dphis + (p * v) * phis)]], axis=1)
-        yield V, None if sc is None else np.concatenate([sc, sc])
+        yield V, None, None if sc is None else np.concatenate([sc, sc])
 
 
 def log_derivative_pair_grid(alpha, n, u):

@@ -1,9 +1,9 @@
 """Christoffel-Darboux kernels by direct summation and by the closed form.
 
-Direct sums accumulate the kernel terms over one ``szego._sweep``; every
-rescale event of the sweep is mirrored on the accumulators so every returned
-quantity shares one log-scale exponent.  Real points sweep in float64, so
-their sums come back real.
+Direct sums accumulate the kernel terms over one ``szego._sweep``; the
+fold ``szego._fold`` mirrors every rescale event of the sweep on the
+accumulators, so every returned quantity shares one log-scale exponent.
+Real points sweep in float64, so their sums come back real.
 """
 
 from collections import namedtuple
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError
-from .szego import as_verblunsky, evaluate, _points, _sweep
+from .szego import as_verblunsky, evaluate, _fold, _points, _sweep
 
 # CD quotients have a 0/0 structure on z*conj(w) = 1; below this cutoff the
 # direct sum must be used.
@@ -61,38 +61,19 @@ def _unpack_complex(sums):
     return k, kb, k10, k10b, k11
 
 
-def _real_terms(sums, P, S):
-    # [K, K^(1,0)] from one P * phi, then K^(1,1)
-    s, k11 = sums
-    phi, dphi = P
-    return s + P * phi, k11 + dphi * dphi
-
-
-def _unpack_real(sums):
-    (k, k10), k11 = sums
-    return k, k, k10, k10, k11
-
-
 def _kernel_sums(alpha, n, z, add, sums, unpack):
     """KernelBundle of the sums over i = 0..n-1, folded over one sweep at z.
 
     add(sums, P, S) folds the degree-i term of the stacked sweep values into
     sums, which start as given; unpack(sums) returns the five sums
     (K(z, z), K(z, conj z), K^{(1,0)}(z, z), K^{(1,0)}(z, conj z),
-    K^{(1,1)}(z, z)).  Every sum is quadratic in the sweep values, so a
-    rescale by sc divides each by sc^2.
+    K^{(1,1)}(z, z)).  Every sum is quadratic in the sweep values.
     """
     if n < 1:
         raise OutOfDomainError("kernel sums need n >= 1")
     a = as_verblunsky(alpha).array(n - 1)
     zz = _points(z)
-    log_scale = np.zeros(zz.shape)
-    for P, S, sc in _sweep(a, zz):
-        if sc is not None:
-            log_scale += np.log(sc)
-            sc2 = sc * sc
-            sums = [s / sc2 for s in sums]
-        sums = add(sums, P, S)
+    sums, log_scale = _fold(_sweep(a, zz), add, sums, (True,) * len(sums))
     k, kb, k10, k10b, k11 = unpack(sums)
     ls = 2.0 * log_scale
     if np.ndim(z) == 0:
@@ -103,15 +84,7 @@ def _kernel_sums(alpha, n, z, add, sums, unpack):
 
 
 def kernel_bundle(alpha, n, z):
-    """All diagonal/anti-diagonal kernel sums over i = 0..n-1 at z.
-
-    On real points phi_i(conj x) = phi_i(x) and _abs2(v) = v * v bit for
-    bit, so three sums are folded and K(x, conj x), K^{(1,0)}(x, conj x)
-    are the same arrays as K(x, x), K^{(1,0)}(x, x).
-    """
-    if np.isrealobj(z):
-        return _kernel_sums(alpha, n, z, _real_terms, (0.0, 0.0), _unpack_real)
-
+    """All diagonal/anti-diagonal kernel sums over i = 0..n-1 at z."""
     return _kernel_sums(alpha, n, z, _complex_terms, (0.0, 0.0, 0.0),
                         _unpack_complex)
 

@@ -2,8 +2,9 @@
 
 One engine, ``_sweep``, propagates the orthonormalized quadruple
 (phi_k, phi_k^*, phi_k', (phi_k^*)') jointly and yields it at every degree;
-``evaluate`` and the kernel sums are folds over it.  Real points sweep in
-float64.  Stored values are mantissas; true values equal stored values times
+``evaluate``, the kernel sums and the intensities are folds over it through
+``_fold``, which owns the rescale mirroring.  Real points sweep in float64.
+Stored values are mantissas; true values equal stored values times
 exp(log_scale), with a shared exponent per evaluation point so that
 downstream ratio formulas never see the scale.
 
@@ -17,13 +18,15 @@ The range check ``_rescale`` runs only when a mantissa could leave
 the factor (1 + max|z| + |a|) s, and max(|phi|, |phi^*|) shrinks by at most
 (1 + |a|) s, no more than that (invert the step; |phi| <= |phi^*| on the
 closed disk).  Inverting the step also bounds the shrink of the four-max
-itself, by (1 + |a|) s (1 + r)/r^2 with r = min(1, min|z|), so where no
-point is 0 the four-max keeps the schedule going after phi and phi^*
-underflow (they do at x = +-1 for constant(0.5), while the derivatives stay
-large).  Each check measures the headroom in bits, less one bit for
-rounding, and finds in prefix sums of the log2 bounds the first degree that
-could use it up; a shrink is safe until either of its two bounds says
-otherwise.  A check can come early but never late, so every rescale lands
+itself, by (1 + |a|) s (1 + r)/r^2 with r = min(1, smallest nonzero |z|),
+so the four-max keeps the schedule going after phi and phi^* underflow (they
+do at x = +-1 for constant(0.5), while the derivatives stay large).  A point
+at 0 needs no such bound: there phi_k^*(0) = kappa_k never shrinks and the
+other three values stay within a factor k + 1 of it, so the four-max at 0
+stays far above 1e-100.  Each check measures the headroom in bits, less one
+bit for rounding, and finds in prefix sums of the log2 bounds the first
+degree that could use it up; a shrink is safe until either of its two bounds
+says otherwise.  A check can come early but never late, so every rescale lands
 on the same degree with the same power of 2 as checking every step would:
 outputs, log scales included, are bit-identical.
 
@@ -188,8 +191,7 @@ def _sweep(a, z):
     Yields (P, S, sc) for degrees k = 0..len(a): P = [phi_k, phi_k'] and
     S = [phi_k^*, (phi_k^*)'] are the stacked mantissas in z's dtype, and sc
     the power-of-2 factor the step into degree k divided them by (None when
-    no point was rescaled).  A consumer adds log(sc) to its log scale and
-    divides by sc whatever it accumulated from lower degrees.
+    no point was rescaled).  Consumers fold the steps with ``_fold``.
     """
     if not np.all(np.isfinite(z)):
         raise OutOfDomainError("evaluation point must be finite")
@@ -199,14 +201,14 @@ def _sweep(a, z):
     s = 1.0 / np.sqrt(1.0 - a * a)
     # prefix sums over degrees 0..k of log2 bounds per step: the growth of
     # the four-max, which also bounds the shrink of max(|phi|, |phi^*|), and
-    # (no point at 0) the shrink of the four-max
-    grow = _prefix(np.log2((1.0 + np.max(np.abs(z), initial=0.0) + np.abs(a)) * s))
-    r = float(np.min(np.abs(z), initial=1.0))
-    shrink = None
-    if r > 0:
-        # log2 of the factor (1 + r)/r^2 taken apart: it overflows for tiny r
-        shrink = _prefix(np.log2((1.0 + np.abs(a)) * s)
-                         + (math.log2(1.0 + r) - 2.0 * math.log2(r)))
+    # the shrink of the four-max
+    az = np.abs(z)
+    grow = _prefix(np.log2((1.0 + np.max(az, initial=0.0) + np.abs(a)) * s))
+    # phi^* never shrinks at z = 0, so a point there leaves the bound to the rest
+    r = float(np.min(az[az > 0.0], initial=1.0))
+    # log2 of the factor (1 + r)/r^2 taken apart: it overflows for tiny r
+    shrink = _prefix(np.log2((1.0 + np.abs(a)) * s)
+                     + (math.log2(1.0 + r) - 2.0 * math.log2(r)))
     due = 1
     yield P, S, None
     for k, (ak, s) in enumerate(zip(a.tolist(), s.tolist()), 1):
@@ -218,11 +220,27 @@ def _sweep(a, z):
         if k == due:
             sc, up, low, four = _rescale(P, S)
             # a shrink is safe until both of its bounds could be used up
-            down = _first(grow, k, low)
-            if shrink is not None:
-                down = max(down, _first(shrink, k, four))
+            down = max(_first(grow, k, low), _first(shrink, k, four))
             due = max(k + 1, min(_first(grow, k, up), down))
         yield P, S, sc
+
+
+def _fold(steps, add, state, scaled):
+    """Fold state = add(state, P, S) over sweep steps (P, S, sc).
+
+    Every rescale by sc is mirrored before the next term: each accumulator
+    flagged in scaled is quadratic in the sweep values and is divided by
+    sc^2, the others keep their value.  Returns the final state and the
+    summed log(sc) per point, the log scale of the last P and S.
+    """
+    log_scale = 0.0
+    for P, S, sc in steps:
+        if sc is not None:
+            log_scale = log_scale + np.log(sc)
+            sc2 = sc * sc
+            state = tuple(v / sc2 if q else v for v, q in zip(state, scaled))
+        state = add(state, P, S)
+    return state, log_scale + np.zeros(P.shape[1:])
 
 
 def _prefix(log2_steps):
@@ -254,12 +272,10 @@ def evaluate(alpha, n, z):
         raise InvalidCoefficientError("degree must be nonnegative")
     seq = as_verblunsky(alpha)
     zz = _points(z)
-    log_scale = np.zeros(zz.shape)
     # the last values the sweep yields are those of degree n
-    for P, S, sc in _sweep(seq.array(n), zz):
-        if sc is not None:
-            log_scale += np.log(sc)
-    (phi, dphi), (phis, dphis) = P, S
+    ((phi, dphi), (phis, dphis)), log_scale = _fold(
+        _sweep(seq.array(n), zz), lambda state, P, S: (P, S), (None, None),
+        (False, False))
     kl = kappa_log(seq, n)
     if np.ndim(z) == 0:
         return SzegoEval(n, complex(zz[0]), complex(phi[0]), complex(phis[0]),

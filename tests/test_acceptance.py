@@ -10,15 +10,15 @@ import time
 import numpy as np
 
 from opuczeros import (AnnularSector, SampleBatch, VerblunskySequence,
-                       WholeRealLine, caratheodory, complex_intensity,
+                       WholeRealLine, complex_intensity,
                        conservation_check, count_in_region,
                        expected_complex_zeros, expected_real_zeros,
-                       h_via_caratheodory, para_spectrum, sample_roots,
-                       scaling_limit_density)
+                       para_spectrum, sample_roots, scaling_limit_density)
 from opuczeros.ensembles import (geronimus_alphas, materialize,
                                  moments_from_verblunsky, power_decay,
                                  verblunsky_from_moments)
 from opuczeros.expectation import ScalingWindow
+from opuczeros.para import caratheodory, h_via_caratheodory
 from opuczeros.intensity import (complex_intensity_grid, growth_log_derivative,
                                  h_closed, h_kac, real_intensity_closed_grid,
                                  real_intensity_kernel_grid)

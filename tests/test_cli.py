@@ -182,6 +182,32 @@ def test_tolerance_from_config_file_is_checked(tmp_path, capsys):
         assert err.startswith("input error: ") and err.count("\n") == 1, err
 
 
+def test_config_values_parse_as_flag_text(tmp_path, capsys):
+    # numbers read as the flag's text; arrays, objects, booleans and null are
+    # rejected by key instead of reaching a parser as the wrong type
+    cases = [("expected-zeros", {"region": 5}, "unknown region '5'"),
+             ("intensity", {"ensemble": 5}, "unknown ensemble '5'"),
+             ("expected-zeros", {"region": ["real"]}, "'region'"),
+             ("intensity", {"ensemble": {"a": 1}}, "'ensemble'"),
+             ("expected-zeros", {"tolerance": True}, "'tolerance'"),
+             ("expected-zeros", {"region": None}, "'region'")]
+    for i, (command, data, message) in enumerate(cases):
+        cfg = tmp_path / ("cfg%d.json" % i)
+        cfg.write_text(json.dumps(data))
+        grid = ["--real-grid=-1:1:3"] if command == "intensity" else []
+        assert main([command, "--n", "4", "--config", str(cfg)] + grid) == 2, data
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, (data, err)
+        assert message in err, (data, err)
+    cfg = tmp_path / "numbers.json"
+    cfg.write_text(json.dumps({"n": 8, "trials": 5, "seed": 3}))
+    assert main(["mc", "--n", "8", "--config", str(cfg),
+                 "--out", str(tmp_path / "a.json")]) == 0
+    assert main(["mc", "--n", "8", "--trials", "5", "--seed", "3",
+                 "--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+
 def test_missing_config_file_is_input_error(tmp_path, capsys):
     rc = main(["intensity", "--n", "4", "--real-grid=-1:1:3",
                "--config", str(tmp_path / "absent.json")])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from opuczeros import (InvalidCoefficientError, constant, explicit, free,
-                       geronimus, geronimus_alphas, materialize,
-                       moments_from_verblunsky, parse_ensemble, power_decay,
-                       verblunsky_from_moments)
+from opuczeros import InvalidCoefficientError
+from opuczeros.ensembles import (constant, explicit, free, geronimus,
+                                 geronimus_alphas, materialize,
+                                 moments_from_verblunsky, parse_ensemble,
+                                 power_decay, verblunsky_from_moments)
 
 
 def test_free_is_zero():

@@ -5,13 +5,13 @@ import pytest
 
 from opuczeros import (OutOfDomainError, VerblunskySequence, complex_intensity,
                        growth_log_derivative, limit_complex_density,
-                       limit_real_density, real_intensity_closed,
-                       real_intensity_kernel, scaling_limit_density)
+                       limit_real_density, scaling_limit_density)
 from opuczeros.intensity import (CLOSED_CUTOFF, complex_intensity_grid,
                                  complex_intensity_reversed_grid,
                                  h_alt, h_closed, h_kac,
+                                 real_intensity_closed,
                                  real_intensity_closed_grid,
-                                 real_intensity_grid,
+                                 real_intensity_grid, real_intensity_kernel,
                                  real_intensity_kernel_grid)
 from opuczeros.ensembles import constant, free as free_spec, materialize, power_decay
 from opuczeros._quad import adaptive_gl

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from opuczeros import (OutOfDomainError, VerblunskySequence, christoffel,
-                       evaluate, kernel_bundle, kernel_cd, kernel_direct)
-from opuczeros.kernels import reversed_kernel_bundle
+from opuczeros import OutOfDomainError, VerblunskySequence, evaluate
+from opuczeros.kernels import (christoffel, kernel_bundle, kernel_cd,
+                               kernel_direct, reversed_kernel_bundle)
 
 
 def free():

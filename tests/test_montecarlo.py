@@ -8,14 +8,14 @@ import pytest
 
 from opuczeros import (AnnularSector, RealInterval, SampleBatch,
                        VerblunskySequence, WholePlane, WholeRealLine,
-                       basis_matrix, count_in_region, count_in_scaling_window,
+                       count_in_region, count_in_scaling_window,
                        expected_complex_zeros, expected_real_zeros,
                        sample_roots)
 from opuczeros import montecarlo
 from opuczeros.expectation import ScalingWindow
 from opuczeros.errors import RootFindingError
 from opuczeros.montecarlo import (_EXP_M2, _ggt_matrix, _ndtri, _uniforms,
-                                  is_real_root)
+                                  basis_matrix, is_real_root)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

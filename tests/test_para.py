@@ -3,8 +3,8 @@ import math
 
 import numpy as np
 
-from opuczeros import VerblunskySequence, caratheodory, h_via_caratheodory, para_spectrum
-from opuczeros.para import para_coeffs, para_poly
+from opuczeros import VerblunskySequence, para_spectrum
+from opuczeros.para import caratheodory, h_via_caratheodory, para_coeffs, para_poly
 from opuczeros.intensity import h_closed
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from opuczeros import (InvalidCoefficientError, VerblunskySequence, blaschke,
-                       evaluate, kappa_log, regularity_epsilon, szego)
+from opuczeros import InvalidCoefficientError, VerblunskySequence, evaluate, szego
+from opuczeros.szego import blaschke, kappa_log, regularity_epsilon
 from opuczeros.ensembles import constant, materialize, power_decay
 from opuczeros.intensity import (CLOSED_CUTOFF, _closed_rho, _inverted, _kernel_rho,
                                  real_intensity_grid)
@@ -274,6 +274,8 @@ def test_sweep_bit_identical_to_reference():
         (np.zeros(4096), np.concatenate([[0.0, 1e-8], np.linspace(-0.999, 0.999, 16)])),
         # phi and phi^* underflow to 0 at x = 1 near degree 839 while phi' stays ~1
         (materialize(constant(0.5), 2000).array(2000), np.array([1.0, -1.0])),
+        # a point at 0 leaves the shrink bound to the nonzero points
+        (materialize(constant(0.5), 2000).array(2000), np.array([0.0, 1.0])),
         # blocks of 50 equal coefficients: at x = 1 the mantissas pass 1e100
         # twice, then fall below 1e-100 near degree 648
         (np.repeat([-0.944, 0.697, -0.55, 0.805, -0.634, -0.605, -0.964,
@@ -330,6 +332,11 @@ def test_rescale_checks_are_scheduled(monkeypatch):
     # (max(|phi|, |phi^*|) alone would call for 1591 checks for 4 rescales)
     calls.clear()
     evaluate(materialize(constant(0.5), 2000), 2000, np.array([1.0, -1.0]))
+    assert 0 < len(calls) <= 100
+    # phi^*(0) never shrinks, so a point at 0 keeps the four-max bound
+    # (it took 1591 checks when 0 dropped the bound for the whole grid)
+    calls.clear()
+    evaluate(materialize(constant(0.5), 2000), 2000, np.array([0.0, 1.0]))
     assert 0 < len(calls) <= 100
 
 
