@@ -1,10 +1,15 @@
-"""Adaptive Gauss-Legendre quadrature with vectorized integrands.
+"""Adaptive Gauss-Kronrod quadrature with vectorized integrands.
 
 One level-synchronous driver serves intervals and rectangles, after
 Shampine's vectorized adaptive quadrature (the quadgk design).  A box of
-dimension d = 1 or 2 is estimated by the tensor GL(order) and GL(2*order)
-rules, order + 2*order nodes in 1-D and order^2 + (2*order)^2 in 2-D; its
-value is the finer rule and its error the difference of the two.
+dimension d = 1 or 2 is sampled at the tensor Kronrod nodes of
+Gauss(order)-Kronrod(2*order+1) (Kronrod 1965; QUADPACK), (2*order + 1)^d
+points: 33 in 1-D at order 16, 289 in 2-D at order 8.  Its value is the
+Kronrod rule and its error the difference from the Gauss rule, which lives
+on the same points with zero weight on the Kronrod-only nodes.  Disjoint
+GL(order) and GL(2*order) rules would give the same estimate, the error of
+GL(order), from order + 2*order points per panel in 1-D; the nested pair
+spends every integrand point on the value as well as on the estimate.
 
 Each round estimates every new box in one batch, handing the integrand at
 most _CHUNK points per call, so the work per call grows with the level
@@ -29,16 +34,74 @@ from .errors import OutOfDomainError, QuadratureError
 _CHUNK = 4096
 
 
+def _kronrod_jacobi(n):
+    """Diagonal a and squared off-diagonal b of the Legendre Kronrod-Jacobi matrix.
+
+    Laurie's modified-moment algorithm (Math. Comp. 66 (1997) 1133-1145)
+    extends the Legendre recurrence a_k = 0, b_k = k^2/(4k^2 - 1), b_0 = 2,
+    of which it reads k <= ceil(3n/2), to the 2n + 1 rows of the symmetric
+    tridiagonal matrix whose eigenvalues are the Gauss(n)-Kronrod(2n+1)
+    nodes.  s and t hold two consecutive rows of mixed moments, shifted by
+    one so that s[0] is the zero moment at index -1.
+    """
+    a = np.zeros(2 * n + 1)
+    b = np.zeros(2 * n + 1)
+    k = np.arange(1, (3 * n + 1) // 2 + 1)
+    b[0] = 2.0
+    b[k] = k * k / (4.0 * k * k - 1.0)
+    s = np.zeros(n // 2 + 2)
+    t = np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        l = m - k
+        s[k + 1] = np.cumsum((a[k + n + 1] - a[l]) * t[k + 1]
+                             + b[k + n + 1] * s[k] - b[l] * s[k + 1])
+        s, t = t, s
+    j = np.arange(n // 2, -1, -1)
+    s[j + 1] = s[j]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        l = m - k
+        j = n - 1 - l
+        s[j + 1] = np.cumsum(-(a[k + n + 1] - a[l]) * t[j + 1]
+                             - b[k + n + 1] * s[j + 1] + b[l] * s[j + 2])
+        j = j[-1]
+        k = (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    return a, b
+
+
+def _kronrod(order):
+    """Ascending Kronrod nodes x (2*order + 1) and the Gauss and Kronrod weights.
+
+    The Gauss nodes are x[1::2]; they and their weights are leggauss(order)'s,
+    and the Gauss weights are zero at the Kronrod-only nodes.
+    """
+    a, b = _kronrod_jacobi(order)
+    off = np.sqrt(b[1:])
+    x, v = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    w = b[0] * v[0] ** 2
+    # the rule is symmetric about 0: impose it on the rounded eigenpairs
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    w_gauss = np.zeros_like(w)
+    x[1::2], w_gauss[1::2] = np.polynomial.legendre.leggauss(order)
+    return x, w_gauss, w
+
+
 @lru_cache(maxsize=None)
 def _rule(order, d):
-    """Nodes (d, m) on [-1, 1]^d of GL(order) then GL(2*order), and both weights."""
-    nodes, weights = [], []
-    for k in (order, 2 * order):
-        x, w = np.polynomial.legendre.leggauss(k)
-        grid = np.meshgrid(*[x] * d, indexing="ij")
-        nodes.append(np.stack([g.ravel() for g in grid]))
-        weights.append(w if d == 1 else np.outer(w, w).ravel())
-    return np.concatenate(nodes, axis=1), weights[0], weights[1]
+    """Tensor Kronrod nodes (d, m) on [-1, 1]^d, the Gauss and the Kronrod weights."""
+    x, w_lo, w_hi = _kronrod(order)
+    grid = np.meshgrid(*[x] * d, indexing="ij")
+    if d == 2:
+        w_lo, w_hi = np.outer(w_lo, w_lo).ravel(), np.outer(w_hi, w_hi).ravel()
+    return np.stack([g.ravel() for g in grid]), w_lo, w_hi
 
 
 def _estimate(f, boxes, order):
@@ -53,8 +116,8 @@ def _estimate(f, boxes, order):
         vals[i:i + _CHUNK] = f(*pts[:, i:i + _CHUNK])
     vals = vals.reshape(len(boxes), -1)
     scale = np.prod(half, axis=1)
-    lo = scale * (vals[:, :len(w_lo)] @ w_lo)
-    hi = scale * (vals[:, len(w_lo):] @ w_hi)
+    lo = scale * (vals @ w_lo)
+    hi = scale * (vals @ w_hi)
     return hi, np.abs(hi - lo)
 
 
@@ -114,7 +177,7 @@ def adaptive_gl(f, a, b, tol=1e-9, splits=(), order=16, max_panels=4000):
 
 def adaptive_gl_2d(f2, xrange, yrange, tol=1e-6, xsplits=(), ysplits=(),
                    order=8, max_rects=2000):
-    """Tensor-product adaptive GL over a rectangle; f2(x, y) vectorized flat."""
+    """Tensor-product adaptive Gauss-Kronrod over a rectangle; f2(x, y) vectorized flat."""
     (a, b), (c, d) = xrange, yrange
     return _adaptive(f2, [_edges(a, b, xsplits), _edges(c, d, ysplits)], tol,
                      order, max_rects)

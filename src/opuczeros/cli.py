@@ -104,28 +104,45 @@ def _write_json(path, config, payload):
             fh.write(text)
 
 
-def _load_config_file(args):
-    """Config file is a flat JSON object; explicit flags override it."""
-    if not args.config:
-        return args
+def _read_config(path):
+    """The --config file, a flat JSON object."""
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
         raise InvalidCoefficientError("cannot read --config %r: %s"
-                                      % (args.config, exc.strerror)) from None
+                                      % (path, exc.strerror)) from None
     except UnicodeDecodeError:
-        raise InvalidCoefficientError("--config %r is not UTF-8 text" % args.config) from None
+        raise InvalidCoefficientError("--config %r is not UTF-8 text" % path) from None
     if not isinstance(data, dict):
-        raise InvalidCoefficientError("--config %r must hold a JSON object" % args.config)
-    for key, value in data.items():
-        # a string or number reads as the text of the flag would
-        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            raise InvalidCoefficientError("--config %r: %r must be a string or a "
-                                          "number" % (args.config, key))
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, str(value))
+        raise InvalidCoefficientError("--config %r must hold a JSON object" % path)
+    return data
+
+
+def _resolve_flags(args):
+    """Fill the flags left unset from --config, then check the required ones.
+
+    Explicit flags override the file.  A file key that names no flag of the
+    command is an input error, so a misspelt key is not silently dropped;
+    the required flags are checked only here, so the file can supply them.
+    """
+    if args.config:
+        flags = set(vars(args)) - {"command", "func", "needs", "config"}
+        for key, value in _read_config(args.config).items():
+            attr = key.replace("-", "_")
+            if attr not in flags:
+                raise InvalidCoefficientError("--config %r: %r is not a flag of %s"
+                                              % (args.config, key, args.command))
+            # a string or number reads as the text of the flag would
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise InvalidCoefficientError("--config %r: %r must be a string or a "
+                                              "number" % (args.config, key))
+            if getattr(args, attr) is None:
+                setattr(args, attr, str(value))
+    for attr in args.needs:
+        if getattr(args, attr) is None:
+            raise InvalidCoefficientError("%s needs --%s, as a flag or in --config"
+                                          % (args.command, attr.replace("_", "-")))
     return args
 
 
@@ -259,48 +276,48 @@ def build_parser():
 
     p = sub.add_parser("intensity", help="real intensity on a grid (CSV)")
     common(p)
-    p.add_argument("--n", required=True)
-    p.add_argument("--real-grid", required=True, help="start:end:count")
-    p.set_defaults(func=_cmd_intensity)
+    p.add_argument("--n")
+    p.add_argument("--real-grid", help="start:end:count")
+    p.set_defaults(func=_cmd_intensity, needs=("n", "real_grid"))
 
     p = sub.add_parser("expected-zeros", help="quadrature zero counts (CSV)")
     common(p)
-    p.add_argument("--n", required=True, help="degree or comma list")
+    p.add_argument("--n", help="degree or comma list")
     p.add_argument("--region")
     p.add_argument("--tolerance")
-    p.set_defaults(func=_cmd_expected_zeros)
+    p.set_defaults(func=_cmd_expected_zeros, needs=("n",))
 
     p = sub.add_parser("para-spectrum", help="paraorthogonal zeros/weights (CSV)")
     common(p)
-    p.add_argument("--n", required=True)
-    p.set_defaults(func=_cmd_para_spectrum)
+    p.add_argument("--n")
+    p.set_defaults(func=_cmd_para_spectrum, needs=("n",))
 
     p = sub.add_parser("mc", help="Monte Carlo zero counts (JSON)")
     common(p)
-    p.add_argument("--n", required=True)
+    p.add_argument("--n")
     p.add_argument("--trials")
     p.add_argument("--seed")
     p.add_argument("--region")
     p.add_argument("--roots-csv", help="optional per-root CSV dump")
-    p.set_defaults(func=_cmd_mc)
+    p.set_defaults(func=_cmd_mc, needs=("n",))
 
     p = sub.add_parser("scaling-limit", help="near-circle limit density (CSV)")
     common(p, ensemble=False)
-    p.add_argument("--tau-grid", required=True, help="start:end:count")
-    p.set_defaults(func=_cmd_scaling_limit)
+    p.add_argument("--tau-grid", help="start:end:count")
+    p.set_defaults(func=_cmd_scaling_limit, needs=("tau_grid",))
 
     p = sub.add_parser("geronimus-check", help="point-mass update vs moment oracle (JSON)")
     common(p, ensemble=False)
     p.add_argument("--base")
-    p.add_argument("--t", required=True)
+    p.add_argument("--t")
     p.add_argument("--count")
-    p.set_defaults(func=_cmd_geronimus_check)
+    p.set_defaults(func=_cmd_geronimus_check, needs=("t",))
 
     p = sub.add_parser("conservation-check", help="real+complex count vs n-1 (JSON)")
     common(p)
-    p.add_argument("--n", required=True)
+    p.add_argument("--n")
     p.add_argument("--tolerance")
-    p.set_defaults(func=_cmd_conservation_check)
+    p.set_defaults(func=_cmd_conservation_check, needs=("n",))
 
     return parser
 
@@ -309,7 +326,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _load_config_file(args)
+        args = _resolve_flags(args)
         args.func(args)
     except (InvalidCoefficientError, OutOfDomainError, FileNotFoundError,
             json.JSONDecodeError) as exc:

@@ -208,6 +208,51 @@ def test_config_values_parse_as_flag_text(tmp_path, capsys):
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
 
+def test_config_key_that_names_no_flag_is_input_error(tmp_path, capsys):
+    # a misspelt key once left the default tolerance 1e-4 in force, exit 0
+    cfg = tmp_path / "cfg.json"
+    for data, command in [({"tolerence": "x"}, "conservation-check"),
+                          ({"trials": 5}, "conservation-check"),
+                          ({"config": "other.json"}, "conservation-check")]:
+        cfg.write_text(json.dumps(data))
+        assert main([command, "--n", "8", "--config", str(cfg)]) == 2, data
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, (data, err)
+        assert repr(next(iter(data))) in err and command in err, err
+
+
+def test_config_file_supplies_required_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 16}))
+    assert main(["conservation-check", "--config", str(cfg),
+                 "--out", str(tmp_path / "a.json")]) == 0
+    assert main(["conservation-check", "--n", "16",
+                 "--out", str(tmp_path / "b.json")]) == 0
+    a = json.loads((tmp_path / "a.json").read_text())
+    assert a == json.loads((tmp_path / "b.json").read_text())
+    for data, command in [({"t": 0.5}, "geronimus-check"),
+                          ({"tau-grid": "0:1:2"}, "scaling-limit"),
+                          ({"n": 4, "real_grid": "-1:1:3"}, "intensity")]:
+        cfg.write_text(json.dumps(data))
+        assert main([command, "--config", str(cfg)]) == 0, data
+    capsys.readouterr()
+
+
+def test_required_flag_missing_from_flags_and_file_is_input_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ensemble": "free"}))
+    cases = [(["conservation-check"], "--n"),
+             (["conservation-check", "--config", str(cfg)], "--n"),
+             (["intensity", "--n", "4", "--config", str(cfg)], "--real-grid"),
+             (["scaling-limit"], "--tau-grid"),
+             (["geronimus-check"], "--t")]
+    for argv, flag in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, (argv, err)
+        assert "needs %s," % flag in err, (argv, err)
+
+
 def test_missing_config_file_is_input_error(tmp_path, capsys):
     rc = main(["intensity", "--n", "4", "--real-grid=-1:1:3",
                "--config", str(tmp_path / "absent.json")])

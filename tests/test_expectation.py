@@ -56,6 +56,28 @@ def test_quadrature_error_is_honest():
     assert abs(fine.value - coarse.value) <= max(coarse.error, 1e-12)
 
 
+# perfbench/references.json real/<ensemble>/<n>: the Kac closed form (free)
+# and a 200-bit Szegő sweep (power_decay(0.3, 2)), both under mpmath.quad
+REAL_REFERENCES = [
+    ("free", 32, 2.8318547983211206),
+    ("free", 64, 3.2733037721694775),
+    ("free", 4096, 5.920990196408062),
+    ("power_decay", 32, 2.896492020719212),
+    ("power_decay", 64, 3.3101927775433406),
+    ("power_decay", 1024, 5.041459639222816),
+]
+
+
+@pytest.mark.parametrize("ensemble, n, ref", REAL_REFERENCES)
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_real_count_within_stated_error_of_reference(ensemble, n, ref, tol):
+    # free n = 32 was off by 1.3e-12 while stating 5.9e-13 before the
+    # rounding floor: the integrand's rounding, not the rule's error
+    alpha = free_seq() if ensemble == "free" else materialize(power_decay(0.3, 2), n)
+    res = expected_real_zeros(alpha, n, tol=tol)
+    assert abs(res.value - ref) <= res.error <= tol * max(res.value, 1.0)
+
+
 def test_full_annulus_complements_real_line():
     # almost surely n - 1 zeros; the whole-plane complex count complements
     # the real count up to the nonreal zeros inside the guard band (1.8e-8

@@ -6,8 +6,61 @@ import pytest
 from opuczeros import (AnnularSector, OutOfDomainError, QuadratureError,
                        expectation, expected_complex_zeros, expected_real_zeros,
                        intensity, real_intensity_grid)
-from opuczeros._quad import _CHUNK, adaptive_gl, adaptive_gl_2d
+from opuczeros._quad import _CHUNK, _rule, adaptive_gl, adaptive_gl_2d
 from opuczeros.ensembles import free, materialize
+
+
+def _kronrod_nodes_mp(order, mpmath):
+    """The 2*order + 1 Gauss-Kronrod nodes, ascending, to 50 digits.
+
+    They are the zeros of P_order and of the Stieltjes polynomial
+    E(x) = x^(order+1) + c_order x^order + ... + c_0, which is orthogonal to
+    every x^j, j <= order, under the weight P_order(x) on [-1, 1].
+    """
+    with mpmath.workdps(50):
+        prev, legendre = [mpmath.mpf(1)], [mpmath.mpf(0), mpmath.mpf(1)]
+        for k in range(1, order):
+            # (k + 1) P_(k+1) = (2k + 1) x P_k - k P_(k-1), ascending coefficients
+            step = [mpmath.mpf(0)] + [(2 * k + 1) * c for c in legendre]
+            for i, c in enumerate(prev):
+                step[i] -= k * c
+            prev, legendre = legendre, [c / (k + 1) for c in step]
+
+        def moment(m):
+            # integral of P_order(x) x^m over [-1, 1]
+            return mpmath.fsum(c * 2 / (i + m + 1) for i, c in enumerate(legendre)
+                               if (i + m) % 2 == 0)
+
+        hankel = mpmath.matrix(order + 1, order + 1)
+        rhs = mpmath.matrix(order + 1, 1)
+        for j in range(order + 1):
+            rhs[j] = -moment(order + 1 + j)
+            for i in range(order + 1):
+                hankel[j, i] = moment(i + j)
+        c = mpmath.lu_solve(hankel, rhs)
+        stieltjes = [mpmath.mpf(1)] + [c[i] for i in range(order, -1, -1)]
+        roots = [*mpmath.polyroots(stieltjes, maxsteps=200, extraprec=200),
+                 *mpmath.polyroots(legendre[::-1], maxsteps=200, extraprec=200)]
+        return np.array(sorted(float(mpmath.re(r)) for r in roots))
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_gauss_kronrod_rule(order):
+    nodes, w_gauss, w_kronrod = _rule(order, 1)
+    x = nodes[0]
+    assert x.shape == (2 * order + 1,)
+    # the Gauss rule is leggauss(order) on every other node
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    assert np.array_equal(x[1::2], gx) and np.array_equal(w_gauss[1::2], gw)
+    assert not np.any(w_gauss[0::2])
+    # the Kronrod-only nodes interlace with the Gauss nodes
+    assert np.all(x[0:-1:2] < gx) and np.all(gx < x[2::2])
+    # Kronrod integrates x^k exactly up to degree 3 * order + 1
+    for k in range(3 * order + 2):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(w_kronrod @ x ** k - exact) <= 1e-14, k
+    mpmath = pytest.importorskip("mpmath")
+    assert np.max(np.abs(x - _kronrod_nodes_mp(order, mpmath))) <= 1e-15
 
 
 def test_non_finite_1d_estimate_raises():
@@ -61,11 +114,13 @@ def test_integrand_calls_never_exceed_the_chunk():
         sizes.append(np.size(x))
         return _peak(x, y)
 
-    # 20 x 20 starting rectangles of 320 nodes each: 31.25 chunks' worth
+    # 20 x 20 starting rectangles of 289 nodes each: 28.2 chunks' worth
     cuts = np.linspace(-1.0, 1.0, 21)[1:-1]
     adaptive_gl_2d(f, (-1.0, 1.0), (-1.0, 1.0), tol=1e-10, xsplits=cuts, ysplits=cuts)
+    points = 400 * _rule(8, 2)[0].shape[1]
+    full = points // _CHUNK
     assert max(sizes) == _CHUNK
-    assert sizes[:32] == [_CHUNK] * 31 + [400 * 320 - 31 * _CHUNK]
+    assert sizes[:full + 1] == [_CHUNK] * full + [points - full * _CHUNK]
 
 
 def _counting(monkeypatch, name):
