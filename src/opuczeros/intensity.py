@@ -75,7 +75,9 @@ def _residual_step(k, mu, r, x, y):
 
     mu = sum x y / K is the regression coefficient; with e = y - mu x and
     K' = K + x^2 the residual gains e^2 K/K', a nonnegative term, so R never
-    cancels.  Returns the new (K, mu, R).
+    cancels.  Returns the new (K, mu, R).  E[P'/P] folds its K, mu, R one
+    degree at a time with this step; the real kernel route folds _BLOCK
+    degrees at once with _merge, the same update for a block of terms.
     """
     e = y - mu * x
     k_old, k = k, k + x * x
@@ -83,20 +85,75 @@ def _residual_step(k, mu, r, x, y):
     return k, mu + x * g, r + e * (g * k_old)
 
 
+# degrees per block of the real kernel route; fixed, so the blocks a point's
+# terms fall into depend on the degree alone, never on the grid
+_BLOCK = 32
+
+
+def _block_sum(t):
+    """Sum the _BLOCK rows of t, overwriting t.
+
+    Halving by elementwise adds gives every column the same order of
+    additions at any width (numpy's own sum over rows goes pairwise for a
+    single column and row by row for many).
+    """
+    h = len(t)
+    while h > 1:
+        h //= 2
+        t[:h] += t[h:2 * h]
+    return t[0]
+
+
+def _merge(k, mu, r, rows):
+    """Fold a block of terms rows = [[x_i, y_i], ...] into (K, mu, R).
+
+    The pairwise update of Chan, Golub & LeVeque ("Algorithms for computing
+    the sample variance", Amer. Stat. 37, 1983) for a regression through 0:
+    with K' = K + sum x^2, mu' = (K mu + sum x y)/K' and e = y - mu' x,
+
+        R' = R + K (mu' - mu)^2 + sum e^2,
+
+    a sum of nonnegative terms, like _residual_step's.  The shift
+    mu' - mu = sum x f / K' with f = y - mu x is formed directly, so it does
+    not cancel, and e = f - (mu' - mu) x.
+    """
+    x, y = rows[:, 0], rows[:, 1]
+    f = y - mu * x
+    k_new = k + _block_sum(x * x)
+    d = _block_sum(x * f) / k_new
+    e = f - d * x
+    return k_new, mu + d, r + k * (d * d) + _block_sum(e * e)
+
+
 def _kernel_rho(steps):
     """Kernel-form real intensity sqrt(R/K)/pi folded over real sweep steps.
 
-    K = K_n(x, x) and R = K^(1,1) - (K^(1,0))^2 / K accumulate term by term
-    (_residual_step of phi' on phi), so R is a sum of nonnegative terms.
+    K = K_n(x, x) is the sum of squares of phi and R = K^(1,1) - (K^(1,0))^2/K
+    the residual of phi' regressed on phi, a sum of nonnegative terms.
     K K^(1,1) - (K^(1,0))^2 from the three sums instead cancels every digit
     where the polynomials grow geometrically (19 at x = 1 - 1e-9 for
-    constant(0.5), n = 839), and its products of mantissas overflow.  K and
-    R are quadratic in the sweep values; the ratio mu is not.
+    constant(0.5), n = 839), and its products of mantissas overflow.  The
+    fold stores the rows [phi_i, phi_i'] of _BLOCK degrees, dividing them by
+    sc at a rescale as it divides K and R by sc^2, and merges each block
+    with _merge; the last block is padded with zero rows, which add exact
+    zeros.
     """
-    # where K underflows to 0, e / K is not finite; that raises below
+    def add(state, P, S):
+        k, mu, r, rows, j = state
+        if rows is None:
+            rows = np.zeros((_BLOCK,) + P.shape)
+        rows[j] = P
+        if j + 1 < _BLOCK:
+            return k, mu, r, rows, j + 1
+        return _merge(k, mu, r, rows) + (rows, 0)
+
+    # where K underflows to 0, the merge divides by 0; that raises below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        (k, _, r), _ = _fold(steps, lambda state, P, S: _residual_step(*state, *P),
-                             (0.0, 0.0, 0.0), (True, False, True))
+        (k, mu, r, rows, j), _ = _fold(steps, add, (0.0, 0.0, 0.0, None, 0),
+                                       (2, 0, 2, 1, 0))
+        if j:
+            rows[j:] = 0.0
+            k, _, r = _merge(k, mu, r, rows)
     if not np.all((k > 0.0) & np.isfinite(r)):
         raise OutOfDomainError("K_n(x, x) underflowed against K_n^(1,1)(x, x) "
                                "at the requested point; too close to x = +-1 "
@@ -172,7 +229,7 @@ def real_intensity_grid(alpha, n, x):
     steps = _sweep(a, np.concatenate([u, x[~closed]]))
     out = np.empty(x.shape)
     if m < len(x):
-        kernel_steps = ((P[:, m:], S[:, m:], None if sc is None else sc[m:])
+        kernel_steps = ((P[:, m:], None, None if sc is None else sc[m:])
                         for P, S, sc in itertools.islice(steps, n))
         out[~closed] = _kernel_rho(kernel_steps)
     if m:
@@ -292,8 +349,7 @@ def _log_derivative(steps):
         return _complex_terms(sums, V, S) + kmr + (started,)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        state, _ = _fold(steps, add, (0.0,) * 6 + (False,),
-                         (True,) * 4 + (False, True, False))
+        state, _ = _fold(steps, add, (0.0,) * 6 + (False,), (2, 2, 2, 2, 0, 2, 0))
         (a, _), (b, d), c, k, _, r, _ = state
         delta = 4.0 * (k / a) * (r / a)
         root = np.sqrt(delta)

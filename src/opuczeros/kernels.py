@@ -73,7 +73,7 @@ def _kernel_sums(alpha, n, z, add, sums, unpack):
         raise OutOfDomainError("kernel sums need n >= 1")
     a = as_verblunsky(alpha).array(n - 1)
     zz = _points(z)
-    sums, log_scale = _fold(_sweep(a, zz), add, sums, (True,) * len(sums))
+    sums, log_scale = _fold(_sweep(a, zz), add, sums, (2,) * len(sums))
     k, kb, k10, k10b, k11 = unpack(sums)
     ls = 2.0 * log_scale
     if np.ndim(z) == 0:

@@ -10,8 +10,15 @@ downstream ratio formulas never see the scale.
 
 The quadruple is stacked as P = [phi, phi'] and S = [phi^*, (phi^*)'], so a
 step is eight array operations: Q = z P, Q[1] += P[0], P = (Q - a S) s,
-S = (S - a Q) s with s = 1/sqrt(1 - a^2).  Every element sees the arithmetic
-of four separate updates (phi + z phi' only becomes z phi' + phi).
+S = (S - a Q) s with s = 1/sqrt(1 - a^2), each written in place into the
+buffers P, S, Q and T (T holds a S, then a Q).  Every element sees the
+arithmetic of four separate updates (phi + z phi' only becomes z phi' + phi).
+
+A fold divides each accumulator by sc^p at a rescale, where p is its power
+in the sweep values: sums of squares p = 2, stored rows p = 1 (the real
+kernel route keeps the rows of a block of degrees and merges them at once,
+see ``intensity._kernel_rho``), ratios p = 0.  The kernel sums, ``evaluate``
+and E[P'/P] add one degree at a time, bit-identical to a per-step reference.
 
 The range check ``_rescale`` runs only when a mantissa could leave
 [1e-100, 1e100].  Per step the largest of the four moduli grows by at most
@@ -191,13 +198,16 @@ def _sweep(a, z):
     Yields (P, S, sc) for degrees k = 0..len(a): P = [phi_k, phi_k'] and
     S = [phi_k^*, (phi_k^*)'] are the stacked mantissas in z's dtype, and sc
     the power-of-2 factor the step into degree k divided them by (None when
-    no point was rescaled).  Consumers fold the steps with ``_fold``.
+    no point was rescaled).  Every step overwrites the same P and S buffers,
+    so a consumer copies what it keeps past the next step.  Consumers fold
+    the steps with ``_fold``.
     """
     if not np.all(np.isfinite(z)):
         raise OutOfDomainError("evaluation point must be finite")
     P = np.zeros((2,) + z.shape, dtype=z.dtype)
     P[0] = 1.0
     S = P.copy()
+    Q, T = np.empty_like(P), np.empty_like(P)
     s = 1.0 / np.sqrt(1.0 - a * a)
     # prefix sums over degrees 0..k of log2 bounds per step: the growth of
     # the four-max, which also bounds the shrink of max(|phi|, |phi^*|), and
@@ -212,10 +222,15 @@ def _sweep(a, z):
     due = 1
     yield P, S, None
     for k, (ak, s) in enumerate(zip(a.tolist(), s.tolist()), 1):
-        Q = z * P
+        # Q = z P, Q[1] += P[0], P = (Q - a S) s, S = (S - a Q) s, in place
+        np.multiply(z, P, out=Q)
         Q[1] += P[0]
-        P = (Q - ak * S) * s
-        S = (S - ak * Q) * s
+        np.multiply(ak, S, out=T)
+        np.subtract(Q, T, out=P)
+        P *= s
+        np.multiply(ak, Q, out=T)
+        S -= T
+        S *= s
         sc = None
         if k == due:
             sc, up, low, four = _rescale(P, S)
@@ -225,20 +240,22 @@ def _sweep(a, z):
         yield P, S, sc
 
 
-def _fold(steps, add, state, scaled):
+def _fold(steps, add, state, powers):
     """Fold state = add(state, P, S) over sweep steps (P, S, sc).
 
-    Every rescale by sc is mirrored before the next term: each accumulator
-    flagged in scaled is quadratic in the sweep values and is divided by
-    sc^2, the others keep their value.  Returns the final state and the
-    summed log(sc) per point, the log scale of the last P and S.
+    Every rescale by sc is mirrored before the next term: an accumulator of
+    power p in the sweep values is divided by sc^p (sums of squares p = 2,
+    stored rows p = 1, ratios p = 0).  sc is a power of 2, and 1 at the
+    points it leaves alone, so the division is exact and a point's bits do
+    not depend on which points share its sweep.  Returns the final state and
+    the summed log(sc) per point, the log scale of the last P and S.
     """
     log_scale = 0.0
     for P, S, sc in steps:
         if sc is not None:
             log_scale = log_scale + np.log(sc)
-            sc2 = sc * sc
-            state = tuple(v / sc2 if q else v for v, q in zip(state, scaled))
+            factor = (None, sc, sc * sc)
+            state = tuple(v / factor[p] if p else v for v, p in zip(state, powers))
         state = add(state, P, S)
     return state, log_scale + np.zeros(P.shape[1:])
 
@@ -274,8 +291,7 @@ def evaluate(alpha, n, z):
     zz = _points(z)
     # the last values the sweep yields are those of degree n
     ((phi, dphi), (phis, dphis)), log_scale = _fold(
-        _sweep(seq.array(n), zz), lambda state, P, S: (P, S), (None, None),
-        (False, False))
+        _sweep(seq.array(n), zz), lambda state, P, S: (P, S), (None, None), (0, 0))
     kl = kappa_log(seq, n)
     if np.ndim(z) == 0:
         return SzegoEval(n, complex(zz[0]), complex(phi[0]), complex(phis[0]),

@@ -5,9 +5,10 @@ import pytest
 
 from opuczeros import InvalidCoefficientError, VerblunskySequence, evaluate, szego
 from opuczeros.szego import blaschke, kappa_log, regularity_epsilon
-from opuczeros.ensembles import constant, materialize, power_decay
-from opuczeros.intensity import (CLOSED_CUTOFF, _closed_rho, _inverted, _kernel_rho,
-                                 real_intensity_grid)
+from opuczeros.ensembles import constant, free, materialize, power_decay
+from opuczeros.intensity import (_BLOCK, CLOSED_CUTOFF, _closed_rho, _inverted,
+                                 _kernel_rho, _residual_step, real_intensity_grid,
+                                 real_intensity_kernel_grid)
 from opuczeros.kernels import (kernel_bundle, kernel_direct,
                                reversed_kernel_bundle)
 
@@ -368,3 +369,80 @@ def test_real_intensity_grid_matches_unflushed_reference():
     assert np.count_nonzero(~closed) == 4
     got = real_intensity_grid(VerblunskySequence(generator=lambda k: 0.0), n, x)
     assert _same_bytes(got, want)
+
+
+def _near_one():
+    """x = +-(1 - 10^-k), k = 4..12, and the four CLOSED_CUTOFF edges."""
+    xs = [s * (1.0 - 10.0 ** -k) for k in range(4, 13) for s in (1.0, -1.0)]
+    xs += [s * math.sqrt(1.0 + d) for d in (-CLOSED_CUTOFF, CLOSED_CUTOFF) for s in (1.0, -1.0)]
+    return np.array(xs)
+
+
+def _per_degree_rho(steps):
+    """The kernel route folded one degree at a time by _residual_step."""
+    (k, _, r), _ = szego._fold(steps, lambda state, P, S: _residual_step(*state, *P),
+                               (0.0, 0.0, 0.0), (2, 0, 2))
+    return np.sqrt(r / k) / np.pi
+
+
+@pytest.mark.parametrize("n", [64, 256, 1000])
+@pytest.mark.parametrize("spec", [free(), power_decay(0.3, 2), constant(0.5)],
+                         ids=["free", "power_decay(0.3, 2)", "constant(0.5)"])
+def test_kernel_merge_rounding_against_high_precision(spec, n):
+    # the block merge on the reference sweep's float rows against the exact
+    # regression of those rows, sum y^2 - (sum x y)^2 / sum x^2 in 80 digits.
+    # Any double fold forms y - mu x and so loses eps * cond, with
+    # cond = sqrt(sum y^2 / R): up to 2e12 for constant(0.5) next to x = 1,
+    # where phi' is nearly a multiple of phi; elsewhere cond is about 2
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    xs = _near_one()
+    steps = [(np.array([v[0], v[2]]), None, sc)
+             for v, sc in _oracle_sweep(materialize(spec, n).array(n - 1), xs)]
+    got = _kernel_rho(iter(steps))
+    old = _per_degree_rho(iter(steps))
+    # relative errors, in units of eps * cond
+    units_got, units_old = [], []
+    with mpmath.workdps(80):
+        for i in range(len(xs)):
+            scale, kx, kxy, ky = mpmath.mpf(1), 0, 0, 0
+            for rows, _, sc in steps:
+                if sc is not None:
+                    scale *= float(sc[i])
+                x, y = mpmath.mpf(float(rows[0, i])) * scale, mpmath.mpf(float(rows[1, i])) * scale
+                kx, kxy, ky = kx + x * x, kxy + x * y, ky + y * y
+            r = ky - kxy * kxy / kx
+            want = mpmath.sqrt(r / kx) / mpmath.pi
+            cond = float(mpmath.sqrt(ky / r))
+            err = float(abs(got[i] - want) / want)
+            assert err <= 1e-13 + eps * cond
+            units_got.append(err / (eps * cond))
+            units_old.append(float(abs(old[i] - want) / want) / (eps * cond))
+    # no worse than the per-degree fold at the worst point of the case
+    assert max(units_got) <= max(units_old)
+
+
+def test_kernel_route_does_not_depend_on_the_grid():
+    # each point's kernel-route value swept alone equals its value inside a
+    # wide grid byte for byte: in the grid the other points rescale at other
+    # degrees (the fold divides this point's rows and sums by 1 there), and
+    # the blocks split the degrees the same way at any width
+    near = [-1.0, 1.0 - 1e-4, -(1.0 - 1e-4), 0.9996, -0.9996, 1.0004, -1.0004,
+            1.0 - 1e-9, -(1.0 - 1e-9)]
+    cases = [(VerblunskySequence(values=_large_alphas(600, 16)), 600,
+              np.concatenate([near, [1.0], np.linspace(-2.0, 2.0, 17)])),
+             # phi and phi^* vanish at x = 1 near degree 839, so 1 itself raises
+             (materialize(constant(0.5), 2000), 2000, np.array(near + [0.5, -2.0, 3.0]))]
+    for al, n, x in cases:
+        # some point rescales inside a block, not at its first degree
+        events = [k for k, (_, sc) in enumerate(_oracle_sweep(al.array(n - 1), x))
+                  if sc is not None]
+        assert any(k % _BLOCK for k in events)
+        wide = real_intensity_kernel_grid(al, n, x)
+        fused = real_intensity_grid(al, n, x)
+        kernel = np.abs(1.0 - x * x) <= CLOSED_CUTOFF
+        for i, xi in enumerate(x):
+            alone = real_intensity_kernel_grid(al, n, [xi])
+            assert _same_bytes(wide[i:i + 1], alone)
+            if kernel[i]:
+                assert _same_bytes(fused[i:i + 1], alone)
