@@ -25,8 +25,7 @@ from .expectation import (AnnularSector, RealInterval, ScalingWindow,
 from .intensity import (CLOSED_CUTOFF, growth_log_derivative,
                         real_intensity_closed_grid, real_intensity_kernel_grid,
                         scaling_limit_density)
-from .montecarlo import (SampleBatch, count_in_region, count_in_scaling_window,
-                         sample_roots)
+from .montecarlo import SampleBatch, count_in_region, sample_roots
 from .para import para_spectrum
 
 EXIT_INPUT = 2
@@ -205,10 +204,7 @@ def _cmd_mc(args):
     alpha = materialize(spec, n)
     batch = SampleBatch(n=n, alpha=alpha, seed=seed, trials=trials)
     roots = sample_roots(batch)
-    if isinstance(region, ScalingWindow):
-        report = count_in_scaling_window(roots, region, n)
-    else:
-        report = count_in_region(roots, region)
+    report = count_in_region(roots, region)
     config = {"command": "mc", "ensemble": spec.label(), "n": n,
               "seed": seed, "trials": trials, "region": region_text}
     payload = {"region": region_text, "mean_count": report.mean_count,

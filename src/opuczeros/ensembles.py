@@ -20,9 +20,11 @@ class EnsembleSpec:
     params: tuple = ()
 
     def label(self):
-        if not self.params:
-            return self.kind
-        return self.kind + ":" + ":".join(str(p) for p in self.params)
+        """The ensemble in ``parse_ensemble`` syntax, which parses back to it."""
+        fields = [p.label() if isinstance(p, EnsembleSpec) else str(p) for p in self.params]
+        if self.kind == "explicit":
+            fields = [",".join(fields)]
+        return ":".join([self.kind] + fields)
 
 
 def free():
@@ -62,7 +64,8 @@ def geronimus_alphas(base_alpha, t, n):
     alpha_{m}(mu) = alpha_m(nu)
         + phi_m(1;nu) phi_{m+1}(1;nu) sqrt(1-alpha_m(nu)^2)
           / (t/(1-t) + K_{m+1}(1,1;nu))
-    computed with O(1) state per step.
+    computed with O(1) state per step.  phi_m(1; nu) can grow geometrically,
+    so phi, K and t/(1-t) are scaled down together where |phi| passes 2^256.
     """
     base = as_verblunsky(base_alpha).array(n)
     ratio = t / (1.0 - t)
@@ -76,6 +79,11 @@ def geronimus_alphas(base_alpha, t, n):
         phi_next = phi * (1.0 - a) / math.sqrt(s)
         out[m] = a + phi * phi_next * math.sqrt(s) / (ratio + ksum)
         phi = phi_next
+        if abs(phi) > 2.0 ** 256:
+            # the update is invariant under (phi, ksum, ratio) -> (phi/c, ksum/c^2, ratio/c^2)
+            phi /= 2.0 ** 256
+            ksum /= 2.0 ** 512
+            ratio /= 2.0 ** 512
     return out
 
 
@@ -106,6 +114,9 @@ def materialize(spec, n):
     raise InvalidCoefficientError("unknown ensemble kind %r" % (spec.kind,))
 
 
+_MAKERS = {"free": free, "constant": constant, "power_decay": power_decay}
+
+
 def parse_ensemble(text):
     """Parse CLI ensemble syntax.
 
@@ -113,21 +124,17 @@ def parse_ensemble(text):
     "explicit:0.1,0.2,-0.3", "geronimus:power_decay:0.3:2:0.5" (the last
     numeric field of a geronimus spec is the mass parameter t).
     """
-    parts = text.strip().split(":")
-    kind = parts[0]
+    kind, *fields = text.strip().split(":")
     try:
-        if kind == "free":
-            return free()
-        if kind == "constant":
-            return constant(float(parts[1]))
-        if kind == "power_decay":
-            return power_decay(float(parts[1]), float(parts[2]))
-        if kind == "explicit":
-            return explicit(float(v) for v in parts[1].split(","))
         if kind == "geronimus":
-            t = float(parts[-1])
-            return geronimus(parse_ensemble(":".join(parts[1:-1])), t)
-    except (IndexError, ValueError) as exc:
+            return geronimus(parse_ensemble(":".join(fields[:-1])), float(fields[-1]))
+        if kind == "explicit":
+            (values,) = fields
+            return explicit(float(v) for v in values.split(","))
+        if kind in _MAKERS:
+            # a surplus or missing field is a TypeError of the constructor
+            return _MAKERS[kind](*(float(f) for f in fields))
+    except (IndexError, TypeError, ValueError) as exc:
         raise InvalidCoefficientError("cannot parse ensemble %r: %s" % (text, exc))
     raise InvalidCoefficientError("unknown ensemble %r" % (text,))
 

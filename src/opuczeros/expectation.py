@@ -80,8 +80,8 @@ class AnnularSector:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise OutOfDomainError("annular sector needs 0 < delta < 1")
-        if not self.theta1 < self.theta2:
-            raise OutOfDomainError("annular sector needs theta1 < theta2")
+        if not 0.0 < self.theta2 - self.theta1 <= 2.0 * math.pi:
+            raise OutOfDomainError("annular sector needs theta1 < theta2 <= theta1 + 2 pi")
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ class ScalingWindow:
     def __post_init__(self):
         if not self.tau1 < self.tau2:
             raise OutOfDomainError("scaling window needs tau1 < tau2")
-        if not self.theta1 < self.theta2:
-            raise OutOfDomainError("scaling window needs theta1 < theta2")
+        if not 0.0 < self.theta2 - self.theta1 <= 2.0 * math.pi:
+            raise OutOfDomainError("scaling window needs theta1 < theta2 <= theta1 + 2 pi")
 
 
 def _check_degree(n):
@@ -146,8 +146,6 @@ def expected_real_zeros(alpha, n, region=WholeRealLine(), tol=1e-9):
 
 def _clip_arcs(theta1, theta2, guard):
     """Intersect (theta1, theta2) with {guard band around R removed}."""
-    if theta2 - theta1 > 2 * math.pi:
-        raise OutOfDomainError("arc longer than the full circle")
     axis = (0.0, math.pi, 2.0 * math.pi, -math.pi, -2.0 * math.pi)
     cuts = sorted({theta1, theta2,
                    *(a + s * guard for a in axis for s in (-1.0, 1.0)

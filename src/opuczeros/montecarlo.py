@@ -11,16 +11,13 @@ those, where numpy's vectorized log differs from the C library's.
 The roots of P = sum_i eta_i phi_i (degree m = n - 1) are the eigenvalues of
 its comrade matrix, built from the recurrence coefficients and never from the
 monomial expansion, whose coefficients span many orders of magnitude
-(Simon, OPUC vol. 1, ch. 4).  The GGT matrix of multiplication by z on
-phi_0, ..., phi_{m-1} is upper Hessenberg,
-
-    G[k, j] = -alpha_j alpha_{k-1} prod_{l=k}^{j-1} rho_l   (k <= j, alpha_{-1} = -1)
-    G[j+1, j] = rho_j,   rho_l = sqrt(1 - alpha_l^2),
-
-with characteristic polynomial Phi_m.  Modulo P, phi_m = -sum_{i<m} eta_i
-phi_i / eta_m, so per trial only the last column changes: it gains
--rho_{m-1} eta_{0:m} / eta_m.  A trial whose |eta_m| <= _UNDERFLOW max|eta|
-is redrawn from the stream with spawn_key (k, attempt).
+(Simon, OPUC vol. 1, ch. 4): the GGT matrix of multiplication by z on
+phi_0, ..., phi_{m-1}, with characteristic polynomial Phi_m, from
+``szego.ggt_matrix``, which also gives ``para.para_spectrum`` its zeros.
+Modulo P, phi_m = -sum_{i<m} eta_i phi_i / eta_m, so per trial only the last
+column changes: it gains -rho_{m-1} eta_{0:m} / eta_m.  A trial whose
+|eta_m| <= _UNDERFLOW max|eta| is redrawn from the stream with spawn_key
+(k, attempt).
 
 Trials go through in chunks of max(1, 2^17 // m^2) matrices, about 1 MB:
 one ``_ndtri`` call and one stacked ``eigvals`` call per chunk.  Chunk sizes
@@ -40,7 +37,7 @@ import numpy as np
 from .errors import OutOfDomainError, RootFindingError
 from .expectation import (AnnularSector, RealInterval, ScalingWindow,
                           WholePlane, WholeRealLine)
-from .szego import as_verblunsky, monic_step
+from .szego import as_verblunsky, ggt_matrix, monic_step
 
 log = logging.getLogger(__name__)
 
@@ -135,19 +132,6 @@ def basis_matrix(alpha, n):
     return B
 
 
-def _ggt_matrix(alpha, m):
-    """GGT matrix G (m x m) of multiplication by z on phi_0..phi_{m-1}, and rho_{m-1}."""
-    a = as_verblunsky(alpha).array(m)
-    rho = np.sqrt(1.0 - a * a)
-    # prod_{l=k}^{j-1} rho_l = exp(L_j - L_k) <= 1 for k <= j; the clamp keeps
-    # the discarded lower triangle from overflowing
-    L = np.concatenate([[0.0], np.cumsum(np.log(rho[:-1]))])
-    prev = np.concatenate([[-1.0], a[:-1]])
-    G = np.triu(-np.outer(prev, a) * np.exp(np.minimum(L[None, :] - L[:, None], 0.0)))
-    G[np.arange(1, m), np.arange(m - 1)] = rho[:-1]
-    return G, rho[-1]
-
-
 def _uniforms(seed, trial, size, attempt=0):
     key = (trial,) if attempt == 0 else (trial, attempt)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
@@ -206,7 +190,7 @@ def sample_roots(batch, threads=None):
     OPUCZEROS_THREADS variable).
     """
     m = batch.n - 1
-    G, rho = _ggt_matrix(batch.alpha, m)
+    G, rho = ggt_matrix(as_verblunsky(batch.alpha).array(m))
     size = max(1, _CHUNK_ENTRIES // (m * m))
     chunks = [np.arange(s, min(s + size, batch.trials))
               for s in range(0, batch.trials, size)]
@@ -250,8 +234,10 @@ def _counts(roots, region):
         return _count_in_sector(roots, region.theta1, region.theta2,
                                 1.0 - region.delta, 1.0 + region.delta)
     if isinstance(region, ScalingWindow):
-        # radial window scales with the batch degree, carried on the region
-        raise ValueError("use count_in_scaling_window with an explicit n")
+        # the radii scale with the degree n, one more than the roots per trial
+        n = roots.shape[-1] + 1
+        return _count_in_sector(roots, region.theta1, region.theta2,
+                                1.0 + region.tau1 / (2.0 * n), 1.0 + region.tau2 / (2.0 * n))
     raise ValueError("unsupported region %r" % (region,))
 
 
@@ -281,8 +267,11 @@ def count_in_region(roots_list, region):
 
 
 def count_in_scaling_window(roots_list, window, n):
-    """Counts in {r e^{i theta}: r in (1 + tau1/2n, 1 + tau2/2n), theta in arc}."""
-    r1 = 1.0 + window.tau1 / (2.0 * n)
-    r2 = 1.0 + window.tau2 / (2.0 * n)
-    return _report(window, _stacked(roots_list, lambda rows: _count_in_sector(
-        rows, window.theta1, window.theta2, r1, r2)))
+    """Counts in {r e^{i theta}: r in (1 + tau1/2n, 1 + tau2/2n), theta in arc}.
+
+    n must be the degree the roots come from, n - 1 roots per trial.
+    """
+    if n != len(roots_list[0]) + 1:
+        raise OutOfDomainError("scaling window for n = %d, but the roots come from "
+                               "n = %d" % (n, len(roots_list[0]) + 1))
+    return count_in_region(roots_list, window)

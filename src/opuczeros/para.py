@@ -3,16 +3,18 @@
 Phi_n(z; beta) = z Phi_{n-1}(z) - beta Phi_{n-1}^*(z) with beta = +-1 here.
 All zeros are simple and lie on the unit circle; the attached weights
 |phi_{n-1}(zeta)|^2 / K_n(zeta, zeta) sum to one.
+
+The zeros are the eigenvalues of the unitary GGT matrix with alpha_{n-1} = 1
+from ``szego.ggt_matrix``, the builder the Monte Carlo sampler uses, and the
+weights one fold over one Szegő sweep at the zeros.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .errors import OutOfDomainError, RootFindingError
-from .kernels import kernel_bundle
-from .szego import as_verblunsky, evaluate, monic_step
+from .szego import _TINY, _fold, _sweep, as_verblunsky, evaluate, ggt_matrix
 
 _CIRCLE_TOL = 1e-8
 
@@ -23,15 +25,6 @@ class ParaSpectrum:
     beta: float
     zeros: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-
-
-def para_coeffs(alpha, n, beta=1.0):
-    """Ascending monomial coefficients of Phi_n(z; beta)."""
-    if n < 1:
-        raise OutOfDomainError("paraorthogonal polynomials need n >= 1")
-    # Phi_n(z; beta) is the monic recurrence's last step with alpha_{n-1} = beta
-    a = np.append(as_verblunsky(alpha).array(n - 1), beta)
-    return reduce(monic_step, a, np.array([1.0]))
 
 
 def para_poly(alpha, n, beta, z):
@@ -47,18 +40,8 @@ def para_spectrum(alpha, n):
     """Zeros of Phi_n(z; 1) on the unit circle with sigma_n weights."""
     if n < 1:
         raise OutOfDomainError("paraorthogonal polynomials need n >= 1")
-    seq = as_verblunsky(alpha)
-    coeffs = para_coeffs(seq, n, beta=1.0)
-    roots = np.roots(coeffs[::-1])
-    if len(roots) != n:
-        raise RootFindingError("expected %d roots, found %d" % (n, len(roots)))
-    # Newton polish through the recurrence: the monomial representation
-    # behind np.roots loses digits for larger n, the recurrence does not
-    for _ in range(3):
-        ev = evaluate(seq, n - 1, roots)
-        pv = roots * ev.phi - ev.phi_star
-        dv = ev.phi + roots * ev.dphi - ev.dphi_star
-        roots = roots - pv / dv
+    a = as_verblunsky(alpha).array(n - 1)
+    roots = np.asarray(np.linalg.eigvals(ggt_matrix(np.append(a, 1.0))[0]), dtype=complex)
     radii = np.abs(roots)
     if np.any(np.abs(radii - 1.0) > _CIRCLE_TOL):
         raise RootFindingError("root strayed from the unit circle by %.3g"
@@ -69,12 +52,15 @@ def para_spectrum(alpha, n):
     if n > 1 and np.min(np.abs(np.diff(np.concatenate(
             [np.angle(zeros), [np.angle(zeros[0]) + 2 * np.pi]])))) < 1e-9:
         raise RootFindingError("zeros are not numerically distinct")
-    ev = evaluate(seq, n - 1, zeros)
-    phi_abs2 = np.abs(ev.phi) ** 2
-    kb = kernel_bundle(seq, n, zeros)
-    # true ratio |phi_{n-1}|^2 e^{2 L_phi} / (K e^{L_K})
-    weights = phi_abs2 * np.exp(2.0 * ev.log_scale - kb.log_scale) / kb.k_zz
-    return ParaSpectrum(n=n, beta=1.0, zeros=zeros, weights=np.real(weights))
+    # K_n(zeta, zeta) sums squares (power 2); phi_{n-1}(zeta) is the last
+    # step's value, never divided (power 0), so both end at one scale
+    (k, phi), _ = _fold(_sweep(a, zeros),
+                        lambda state, P, S: (state[0] + np.abs(P[0]) ** 2, P[0]),
+                        (0.0, None), (2, 0))
+    if np.any(k < _TINY):
+        raise OutOfDomainError("K_%d(zeta, zeta) underflows against the derivatives "
+                               "at a zero of Phi_%d(z; 1)" % (n, n))
+    return ParaSpectrum(n=n, beta=1.0, zeros=zeros, weights=np.abs(phi) ** 2 / k)
 
 
 def caratheodory(alpha, n, z, form="rational", spectrum=None):

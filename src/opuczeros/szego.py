@@ -277,6 +277,26 @@ def monic_step(c, a):
     return np.concatenate([[0.0], c]) - a * np.concatenate([c[::-1], [0.0]])
 
 
+def ggt_matrix(a):
+    """GGT matrix G (m x m) of multiplication by z on phi_0..phi_{m-1}, and rho_{m-1}.
+
+    From the real a = alpha_0..alpha_{m-1}, G is upper Hessenberg with
+    G[k, j] = -alpha_j alpha_{k-1} prod_{l=k}^{j-1} rho_l (k <= j, alpha_{-1} = -1)
+    and G[j+1, j] = rho_j = sqrt(1 - alpha_j^2); its characteristic
+    polynomial is Phi_m (Simon, OPUC vol. 1, ch. 4).  alpha_{m-1} = 1 makes
+    G unitary, with the paraorthogonal Phi_m(z; 1) as characteristic polynomial.
+    """
+    m = len(a)
+    rho = np.sqrt(1.0 - a * a)
+    # prod_{l=k}^{j-1} rho_l = exp(L_j - L_k) <= 1 for k <= j; the clamp keeps
+    # the discarded lower triangle from overflowing
+    L = np.concatenate([[0.0], np.cumsum(np.log(rho[:-1]))])
+    prev = np.concatenate([[-1.0], a[:-1]])
+    G = np.triu(-np.outer(prev, a) * np.exp(np.minimum(L[None, :] - L[:, None], 0.0)))
+    G[np.arange(1, m), np.arange(m - 1)] = rho[:-1]
+    return G, rho[-1]
+
+
 def kappa_log(alpha, n):
     """log kappa_n = -(1/2) sum_{k<n} log(1 - alpha_k^2)."""
     a = as_verblunsky(alpha).array(n)

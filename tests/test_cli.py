@@ -91,6 +91,55 @@ def test_mc_json_and_roots_csv(tmp_path):
     assert len(rows) == 40 * 5
 
 
+def test_gapped_para_spectrum_runs(tmp_path):
+    # exited 3 when the zeros came from np.roots on the monomial expansion
+    out = tmp_path / "ps.csv"
+    assert main(["para-spectrum", "--ensemble", "constant:0.5", "--n", "128",
+                 "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert len(rows) == 128
+    assert abs(math.fsum(float(r[3]) for r in rows) - 1.0) <= 1e-12
+
+
+def _header_config(path):
+    text = path.read_text()
+    if text.startswith("{"):
+        return json.loads(text)["config"]
+    line = next(ln for ln in text.splitlines() if ln.startswith("# config: "))
+    return json.loads(line[len("# config: "):])
+
+
+def test_artifacts_rerun_from_their_own_header(tmp_path):
+    cases = [["intensity", "--ensemble", "geronimus:free:0.5", "--n", "8",
+              "--real-grid=-0.9:0.9:5"],
+             ["para-spectrum", "--ensemble", "explicit:0.1,0.2,0.3", "--n", "4"],
+             ["mc", "--ensemble", "geronimus:explicit:0.1,-0.2,0.3,0.05,0.2:0.5",
+              "--n", "5", "--trials", "20", "--seed", "3",
+              "--region", "window:0.5:2.5:-4:4"],
+             ["expected-zeros", "--ensemble", "explicit:0.1,0.2,0.3,0.4", "--n", "4",
+              "--region", "annulus:0.3:2:0.4", "--tolerance", "1e-6"]]
+    for i, argv in enumerate(cases):
+        first, again, cfg = (tmp_path / ("%s%d" % (name, i)) for name in ("a", "b", "cfg"))
+        assert main(argv + ["--out", str(first)]) == 0, argv
+        config = _header_config(first)
+        assert config.pop("command") == argv[0]
+        cfg.write_text(json.dumps(config))
+        assert main([argv[0], "--config", str(cfg), "--out", str(again)]) == 0, config
+        assert again.read_bytes() == first.read_bytes(), argv
+
+
+def test_arc_longer_than_the_circle_is_input_error(capsys):
+    # Monte Carlo once counted 11.84 zeros in this sector and exited 0
+    for argv in (["mc", "--n", "8", "--trials", "10", "--region", "annulus:0:7:0.5"],
+                 ["expected-zeros", "--n", "8", "--region", "annulus:0:7:0.5"],
+                 ["mc", "--n", "8", "--trials", "10", "--region", "window:0:7:-1:1"],
+                 ["expected-zeros", "--n", "8", "--region", "window:0:7:-1:1"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, (argv, err)
+        assert "theta2 <= theta1 + 2 pi" in err, err
+
+
 def test_mc_determinism(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,47 @@ def test_parse_ensemble():
     assert np.allclose(materialize(g, 3).array(3), [1 / 2, 1 / 3, 1 / 4], atol=1e-14)
     with pytest.raises(InvalidCoefficientError):
         parse_ensemble("mystery:1:2")
+
+
+def test_label_parses_back_to_the_spec():
+    specs = [free(), constant(0.5), constant(-1 / 3), power_decay(0.3, 2),
+             explicit([0.1, -0.2, 1 / 3]), explicit([0.25]),
+             geronimus(free(), 0.5), geronimus(power_decay(0.3, 2), 0.5),
+             geronimus(explicit([0.1, 0.2, 0.3]), 0.25),
+             geronimus(geronimus(constant(-0.5), 0.5), 0.7)]
+    for spec in specs:
+        assert parse_ensemble(spec.label()) == spec, spec.label()
+    assert geronimus(free(), 0.5).label() == "geronimus:free:0.5"
+    assert explicit([0.1, 0.2, 0.3]).label() == "explicit:0.1,0.2,0.3"
+
+
+def test_parse_ensemble_rejects_surplus_and_missing_fields():
+    # explicit:0.1:0.2:0.3 once read as the single coefficient 0.1
+    for text in ("free:3", "constant", "constant:0.5:7", "power_decay:0.3",
+                 "power_decay:0.3:2:9", "explicit:0.1:0.2:0.3", "geronimus:0.5",
+                 "geronimus:constant:0.5:7:0.5"):
+        with pytest.raises(InvalidCoefficientError):
+            parse_ensemble(text)
+
+
+def test_geronimus_update_survives_growing_phi():
+    # phi_m(1; nu) grows like sqrt(3)^m for constant(-0.5): K_m overflowed
+    # before n = 1000; the rescaled update matches the same update in 80 digits
+    mpmath = pytest.importorskip("mpmath")
+    n = 1000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = materialize(geronimus(constant(-0.5), 0.5), n).array(n)
+    with mpmath.workdps(80):
+        a = mpmath.mpf(-0.5)
+        ratio, phi, ksum, ref = mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(0), []
+        for m in range(n):
+            ksum += phi * phi
+            s = 1 - a * a
+            phi_next = phi * (1 - a) / mpmath.sqrt(s)
+            ref.append(float(a + phi * phi_next * mpmath.sqrt(s) / (ratio + ksum)))
+            phi = phi_next
+    assert np.max(np.abs(got - np.array(ref))) <= 4e-15
 
 
 def test_geronimus_free_closed_form():

@@ -147,6 +147,12 @@ def test_region_validation():
         ScalingWindow(0.0, 1.0, 5.0, -5.0)
     with pytest.raises(OutOfDomainError):
         expected_real_zeros(free_seq(), 4, AnnularSector(0.0, 1.0, 0.2))
+    # an arc longer than the circle is rejected by the region itself
+    with pytest.raises(OutOfDomainError, match="theta2 <= theta1 \\+ 2 pi"):
+        AnnularSector(0.0, 7.0, 0.5)
+    with pytest.raises(OutOfDomainError, match="theta2 <= theta1 \\+ 2 pi"):
+        ScalingWindow(-1.0, 6.0, -5.0, 5.0)
+    AnnularSector(0.0, 2.0 * math.pi, 0.5)
 
 
 def test_power_decay_real_count_close_to_free():

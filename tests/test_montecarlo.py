@@ -13,9 +13,10 @@ from opuczeros import (AnnularSector, RealInterval, SampleBatch,
                        sample_roots)
 from opuczeros import montecarlo
 from opuczeros.expectation import ScalingWindow
-from opuczeros.errors import RootFindingError
-from opuczeros.montecarlo import (_EXP_M2, _ggt_matrix, _ndtri, _uniforms,
-                                  basis_matrix, is_real_root)
+from opuczeros.errors import OutOfDomainError, RootFindingError
+from opuczeros.montecarlo import (_EXP_M2, _ndtri, _uniforms, basis_matrix,
+                                  is_real_root)
+from opuczeros.szego import ggt_matrix
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -73,7 +74,7 @@ def test_ggt_characteristic_polynomial_is_monic_szego():
     rng = np.random.default_rng(4)
     for m in (1, 2, 5, 12):
         a = rng.uniform(-0.8, 0.8, m)
-        G, rho = _ggt_matrix(a, m)
+        G, rho = ggt_matrix(a)
         B = basis_matrix(a, m + 1)
         assert np.allclose(np.poly(G)[::-1], B[m] / B[m, m], atol=1e-12)
         assert rho == math.sqrt(1.0 - a[-1] ** 2)
@@ -287,9 +288,18 @@ def test_stacked_counts_match_per_trial_counts(monkeypatch, block):
         want = [_count_one(r, region) for r in roots]
         assert rep.counts.tolist() == want, region
     for win in (ScalingWindow(0.5, 2.5, -4.0, 4.0), ScalingWindow(-2.0, 1.0, -20.0, 0.0)):
-        rep = count_in_scaling_window(roots, win, n)
         want = [_sector_count_one(r, win.theta1, win.theta2, 1.0 + win.tau1 / (2.0 * n),
                                   1.0 + win.tau2 / (2.0 * n)) for r in roots]
-        assert rep.counts.tolist() == want, win
-    with pytest.raises(ValueError):
-        count_in_region(roots, ScalingWindow(0.5, 2.5, -4.0, 4.0))
+        assert count_in_scaling_window(roots, win, n).counts.tolist() == want, win
+        # the window's radii come from the roots, n - 1 per trial
+        assert count_in_region(roots, win).counts.tolist() == want, win
+
+
+def test_scaling_window_degree_must_match_roots():
+    # free n = 16 roots once counted 4.1 with n = 16 and 0.14 with n = 1000
+    roots = sample_roots(SampleBatch(n=16, alpha=free_seq(), seed=3, trials=20))
+    win = ScalingWindow(0.5, 2.5, -4.0, 4.0)
+    assert count_in_scaling_window(roots, win, 16).counts.tolist() == \
+        count_in_region(roots, win).counts.tolist()
+    with pytest.raises(OutOfDomainError, match="n = 1000"):
+        count_in_scaling_window(roots, win, 1000)

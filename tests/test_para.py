@@ -1,11 +1,15 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
+import pytest
 
-from opuczeros import VerblunskySequence, para_spectrum
-from opuczeros.para import caratheodory, h_via_caratheodory, para_coeffs, para_poly
+from opuczeros import OutOfDomainError, VerblunskySequence, para_spectrum
+from opuczeros.ensembles import constant, materialize
+from opuczeros.para import caratheodory, h_via_caratheodory, para_poly
 from opuczeros.intensity import h_closed
+from opuczeros.szego import ggt_matrix
 
 
 def free():
@@ -32,8 +36,8 @@ def test_para_poly_hand_expansion():
     for z in (0.4, -0.9, 1.3 + 0.2j):
         expect = z * (z - 0.5) - (1.0 - 0.5 * z)
         assert abs(para_poly(al, 2, 1.0, z) - expect) < 1e-12
-    c = para_coeffs(al, 2, 1.0)
-    assert np.allclose(c, [-1.0, 0.0, 1.0], atol=1e-13)
+    G, _ = ggt_matrix(np.array([0.5, 1.0]))
+    assert np.allclose(np.poly(G)[::-1], [-1.0, 0.0, 1.0], atol=1e-13)
 
 
 def test_spectrum_free_small():
@@ -64,6 +68,29 @@ def test_spectrum_structure_random():
         assert np.max(np.abs(np.abs(ps.zeros) - 1.0)) < 1e-10
         assert np.all(ps.weights > 0)
         assert abs(math.fsum(ps.weights) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("a, n", [(0.5, 128), (0.5, 256), (0.5, 512),
+                                  (-0.9, 64), (-0.9, 256), (-0.9, 1024)])
+def test_spectrum_of_gapped_ensembles(a, n):
+    # np.roots on the monomial expansion strayed off the circle for these
+    al = materialize(constant(a), n)
+    ps = para_spectrum(al, n)
+    assert len(ps.zeros) == n
+    assert np.max(np.abs(np.abs(ps.zeros) - 1.0)) <= 1e-12
+    assert np.all(ps.weights >= 0)
+    assert abs(math.fsum(ps.weights) - 1.0) <= 1e-12
+    for z in (0.3 + 0.2j, -0.5 + 0.1j, 0.1 - 0.7j):
+        r = caratheodory(al, n, z, form="rational")
+        assert abs(caratheodory(al, n, z, form="integral", spectrum=ps) - r) <= 1e-9 * abs(r)
+
+
+def test_spectrum_raises_where_kernel_underflows():
+    # K_n underflows against phi' next to z = 1 for constant(0.5) from n ~ 840
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OutOfDomainError, match="underflows"):
+            para_spectrum(materialize(constant(0.5), 900), 900)
 
 
 def test_caratheodory_free_forms():
