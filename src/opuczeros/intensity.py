@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError
-from .kernels import _complex_terms, kernel_bundle, reversed_kernel_bundle
+from .kernels import kernel_bundle, reversed_kernel_bundle
 from .szego import _fold, _sweep, as_verblunsky, evaluate
 
 # dispatch from the closed form to the kernel form near x = +-1
@@ -70,19 +70,23 @@ def h_alt(alpha, n, x):
     return np.real((1.0 - x * x) * dg / (1.0 - g * g))
 
 
-def _residual_step(k, mu, r, x, y):
-    """Fold one term into K = sum x^2 and the residual R of y on x.
+def _residual_step(k, mu, r, x, y, scratch):
+    """Fold one term into K = sum x^2 and the residual R of y on x, in place.
 
     mu = sum x y / K is the regression coefficient; with e = y - mu x and
     K' = K + x^2 the residual gains e^2 K/K', a nonnegative term, so R never
-    cancels.  Returns the new (K, mu, R).  E[P'/P] folds its K, mu, R one
-    degree at a time with this step; the real kernel route folds _BLOCK
-    degrees at once with _merge, the same update for a block of terms.
+    cancels.  Writes the new (K, mu, R) into k, mu, r through three scratch
+    arrays of their shape.  E[P'/P] folds its K, mu, R one degree at a time
+    with this step; the real kernel route folds _BLOCK degrees at once with
+    _merge, the same update for a block of terms.
     """
-    e = y - mu * x
-    k_old, k = k, k + x * x
-    g = e / k
-    return k, mu + x * g, r + e * (g * k_old)
+    e, k_new, g = scratch
+    np.subtract(y, np.multiply(mu, x, out=e), out=e)
+    np.add(np.multiply(x, x, out=k_new), k, out=k_new)
+    np.divide(e, k_new, out=g)
+    r += np.multiply(e, np.multiply(g, k, out=k), out=k)
+    mu += np.multiply(x, g, out=g)
+    np.copyto(k, k_new)
 
 
 # degrees per block of the real kernel route; fixed, so the blocks a point's
@@ -315,44 +319,64 @@ def complex_intensity_reversed_grid(alpha, n, u, degenerate="raise"):
     return _bundle_intensity(reversed_kernel_bundle(alpha, n, u), degenerate)
 
 
-def _log_derivative(steps):
-    """E[P'/P] folded over the stacked basis rows [v_i, v_i'] of one sweep.
+def _contour_sums(steps, m):
+    """The sums A, B, C, D of E[P'/P], and K, R, folded over one sweep.
 
     X = P(z) = sum eta_i v_i(z) is a complex Gaussian with
     E|X|^2 = A = sum |v_i|^2 and E X^2 = B = sum v_i^2; Y = P'(z) has
     E[Y conj X] = C = sum v_i' conj v_i and E[Y X] = D = sum v_i' v_i (for
     v_i = phi_i: K(z, z), K(z, conj z), K^(1,0)(z, z), K^(1,0)(z, conj z)).
-    Regressing Y on X and conj X and E[conj X / X] =
-    conj B/(A + sqrt(A^2 - |B|^2)) give, with b = B/A and
-    delta = (A^2 - |B|^2)/A^2,
-
-        E[P'/P] = (C/A - (D/A) conj(b)/(1 + sqrt(delta))) / sqrt(delta).
-
-    steps yields (V, S, sc) per degree with V = [v_i, v_i'], as the sweep
-    does (S is not read).  The sums come from the stacked kernel fold and
-    are divided by A, as in _bundle_intensity.  delta vanishes on R, so it
-    is not formed as 1 - |b|^2: with v = x + iy, A^2 - |B|^2 = 4 K R for
-    K = sum x^2 and R the residual of y on x, accumulated as nonnegative
-    terms by _residual_step.  Until K holds a term, terms whose x^2 is
-    below the smallest normal float are skipped: K = 0 would make the
-    regression 0/0 (the reversed basis underflows at low degrees, see
-    _pair_rows).
+    steps yields (V, S, sc) per degree with V = [v_i, v_i'] at m points, as
+    the sweep does (S is not read).  In place, the fold adds C and D and,
+    with v = x + iy, K = sum x^2, mu = sum x y / K and the residual R of y
+    on x (_residual_step); A = K (1 + mu^2) + R and B = K (1 + i mu)^2 - R
+    follow, so A^2 - |B|^2 = 4 K R.  A is a sum of nonnegative terms, and
+    Re B = K - (K mu) mu - R has the absolute error eps A of summing
+    x^2 - y^2.  Until a point's K holds a term, its terms with x^2 below the
+    smallest normal float are skipped, since K = 0 would make the regression
+    0/0 (the reversed basis underflows at low degrees, see _pair_rows).  A
+    skipped term leaves K, mu, R and so A and B (which used to be summed
+    with it), but still enters C and D.  Returns (A, B, C, D, K, R).
     """
-    def add(state, V, S):
-        *sums, k, mu, r, started = state
-        x, y = V[0].real, V[0].imag
-        kmr = _residual_step(k, mu, r, x, y)
-        if not started:
-            keep = x * x >= _TINY
-            kmr = tuple(np.where(keep, new, old) for new, old in zip(kmr, (k, mu, r)))
-            started = bool(np.all(kmr[0] > 0.0))
-        return _complex_terms(sums, V, S) + kmr + (started,)
+    scratch = np.empty((3, m))
+    u, vu = np.empty((2, 2, m), dtype=complex)
 
+    def add(state, V, S):
+        cd, k, mu, r, started = state
+        v = V[0]
+        x, y = v.real, v.imag
+        # [C, D] += v' [conj v, v], v' first as in the kernel sums
+        np.conjugate(v, out=u[0])
+        u[1] = v
+        cd += np.multiply(V[1], u, out=vu)
+        if started:
+            _residual_step(k, mu, r, x, y, scratch)
+            return state
+        # a skipped term enters as x = y = 0 against K = 1 (its K is 0):
+        # e = 0 leaves mu and R, and K goes back to 0
+        keep = (x * x >= _TINY) | (k > 0.0)
+        k += ~keep
+        _residual_step(k, mu, r, x * keep, y * keep, scratch)
+        k *= keep
+        return cd, k, mu, r, bool(np.all(k > 0.0))
+
+    state = (np.zeros((2, m), dtype=complex),) + tuple(np.zeros((3, m))) + (False,)
+    ((c, d), k, mu, r, _), _ = _fold(steps, add, state, (2, 2, 0, 2, 0))
+    km = k * mu
+    return k + km * mu + r, (k - km * mu - r) + 2j * km, c, d, k, r
+
+
+def _log_derivative(steps, m):
+    """E[P'/P] from _contour_sums: regressing Y on X and conj X gives
+
+        E[P'/P] = (C/A - (D/A) conj(b)/(1 + sqrt(delta))) / sqrt(delta)
+
+    with b = B/A and delta = (A^2 - |B|^2)/A^2 = 4 (K/A)(R/A), which
+    vanishes on R (E[conj X / X] = conj B/(A + sqrt(A^2 - |B|^2))).
+    """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        state, _ = _fold(steps, add, (0.0,) * 6 + (False,), (2, 2, 2, 2, 0, 2, 0))
-        (a, _), (b, d), c, k, _, r, _ = state
-        delta = 4.0 * (k / a) * (r / a)
-        root = np.sqrt(delta)
+        a, b, c, d, k, r = _contour_sums(steps, m)
+        root = np.sqrt(4.0 * (k / a) * (r / a))
         f = (c / a - (d / a) * np.conj(b / a) / (1.0 + root)) / root
     if not np.all(np.isfinite(f)):
         raise OutOfDomainError("K_n^2 - |K_n(z, conj z)|^2 degenerate at the "
@@ -371,7 +395,7 @@ def log_derivative_grid(alpha, n, z):
         return np.zeros(z.shape, dtype=complex)
     if np.any(z.imag == 0.0):
         raise OutOfDomainError("E[P'/P] is singular on the real line")
-    return _log_derivative(_sweep(as_verblunsky(alpha).array(n - 1), z))
+    return _log_derivative(_sweep(as_verblunsky(alpha).array(n - 1), z), len(z))
 
 
 # the reversed basis recomputes its power of u from log u this often (in
@@ -386,17 +410,25 @@ def _pair_rows(steps, n, u):
     P^*(u) = u^(n-1) P(1/u) = sum eta_i psi_i(u) (real coefficients), and
     psi_i' = u^(n-1-i) (phi_i^*' + (n-1-i) phi_i^* / u).  The power shrinks
     with the degree gap, so for small |u| the low degrees underflow (their
-    terms are skipped by _log_derivative); it is recomputed from log u
+    terms are skipped by _contour_sums); it is recomputed from log u
     every _POWER_ANCHOR degrees so that a chain started from an underflowed
-    u^(n-1) does not carry its lost digits into the terms that count.
+    u^(n-1) does not carry its lost digits into the terms that count.  The
+    rows go into one (2, 2m) buffer that every degree overwrites.
     """
+    m = len(u)
+    V = np.empty((2, 2 * m), dtype=complex)
+    t = np.empty(m, dtype=complex)
     v = 1.0 / u
     log_u = np.log(u)
     for i, (P, S, sc) in enumerate(steps):
         p = n - 1 - i
         w = np.exp(p * log_u) if i % _POWER_ANCHOR == 0 else w * v
         phis, dphis = S
-        V = np.concatenate([P, [w * phis, w * (dphis + (p * v) * phis)]], axis=1)
+        V[:, :m] = P
+        np.multiply(w, phis, out=V[0, m:])
+        # no complex product overwrites an operand (see szego._sweep)
+        np.add(np.multiply(np.multiply(p, v, out=t), phis, out=V[1, m:]), dphis, out=t)
+        np.multiply(w, t, out=V[1, m:])
         yield V, None, None if sc is None else np.concatenate([sc, sc])
 
 
@@ -418,7 +450,8 @@ def log_derivative_pair_grid(alpha, n, u):
         raise OutOfDomainError("E[P'/P] is singular on the real line")
     if np.any(np.abs(u) > 1.0):
         raise OutOfDomainError("the reversed fold needs |u| <= 1")
-    f = _log_derivative(_pair_rows(_sweep(as_verblunsky(alpha).array(n - 1), u), n, u))
+    f = _log_derivative(_pair_rows(_sweep(as_verblunsky(alpha).array(n - 1), u), n, u),
+                        2 * len(u))
     return f[:len(u)], f[len(u):]
 
 

@@ -21,8 +21,10 @@ CD_CUTOFF = 1e-4
 ScaledKernel = namedtuple("ScaledKernel", ["k", "k10", "k11", "log_scale"])
 
 
-def _abs2(v):
-    return v.real * v.real + v.imag * v.imag
+def _abs2(v, out=None, t=None):
+    """|v|^2 as v.real^2 + v.imag^2, into out through t when given."""
+    return np.add(np.multiply(v.real, v.real, out=out), np.multiply(v.imag, v.imag, out=t),
+                  out=out)
 
 
 @dataclass
@@ -43,17 +45,26 @@ class KernelBundle:
     log_scale: float
 
 
-def _complex_terms(sums, P, S):
-    """Add the degree-i terms to the stacked complex kernel sums.
+def _complex_terms(zz):
+    """Zeroed stacked complex kernel sums at zz and the fold adding to them.
 
     sums = ([K(z, z), K^(1,1)(z, z)], [K(z, conj z), K^(1,0)(z, conj z)],
     K^(1,0)(z, z)): the first pair is one _abs2 of P = [phi, phi'], the
     second one P * phi, so each element sees the arithmetic of five
-    separate sums.
+    separate sums.  add writes into the sums it is given and returns them.
     """
-    s1, s2, k10 = sums
-    phi, dphi = P
-    return s1 + _abs2(P), s2 + P * phi, k10 + dphi * np.conj(phi)
+    real2 = np.zeros((3, 2) + zz.shape)
+    c2 = np.empty((2,) + zz.shape, zz.dtype)
+
+    def add(sums, P, S):
+        s1, s2, k10 = sums
+        phi, dphi = P
+        s1 += _abs2(P, real2[1], real2[2])
+        s2 += np.multiply(P, phi, out=c2)
+        k10 += np.multiply(dphi, np.conjugate(phi, out=c2[0]), out=c2[1])
+        return sums
+
+    return add, (real2[0], np.zeros_like(c2), np.zeros_like(c2[0]))
 
 
 def _unpack_complex(sums):
@@ -61,18 +72,20 @@ def _unpack_complex(sums):
     return k, kb, k10, k10b, k11
 
 
-def _kernel_sums(alpha, n, z, add, sums, unpack):
+def _kernel_sums(alpha, n, z, terms, unpack):
     """KernelBundle of the sums over i = 0..n-1, folded over one sweep at z.
 
-    add(sums, P, S) folds the degree-i term of the stacked sweep values into
-    sums, which start as given; unpack(sums) returns the five sums
-    (K(z, z), K(z, conj z), K^{(1,0)}(z, z), K^{(1,0)}(z, conj z),
-    K^{(1,1)}(z, z)).  Every sum is quadratic in the sweep values.
+    terms(zz) returns (add, sums): add(sums, P, S) folds the degree-i term
+    of the stacked sweep values into the zeroed sums; unpack(sums) returns
+    the five sums (K(z, z), K(z, conj z), K^{(1,0)}(z, z),
+    K^{(1,0)}(z, conj z), K^{(1,1)}(z, z)).  Every sum is quadratic in the
+    sweep values.
     """
     if n < 1:
         raise OutOfDomainError("kernel sums need n >= 1")
     a = as_verblunsky(alpha).array(n - 1)
     zz = _points(z)
+    add, sums = terms(zz)
     sums, log_scale = _fold(_sweep(a, zz), add, sums, (2,) * len(sums))
     k, kb, k10, k10b, k11 = unpack(sums)
     ls = 2.0 * log_scale
@@ -85,8 +98,7 @@ def _kernel_sums(alpha, n, z, add, sums, unpack):
 
 def kernel_bundle(alpha, n, z):
     """All diagonal/anti-diagonal kernel sums over i = 0..n-1 at z."""
-    return _kernel_sums(alpha, n, z, _complex_terms, (0.0, 0.0, 0.0),
-                        _unpack_complex)
+    return _kernel_sums(alpha, n, z, _complex_terms, _unpack_complex)
 
 
 def reversed_kernel_bundle(alpha, n, u):
@@ -99,24 +111,36 @@ def reversed_kernel_bundle(alpha, n, u):
     basis values, so the exterior intensity can be evaluated without the
     catastrophic 1/|u|^4 amplification of the naive change of variables.
     """
-    uu = _points(u)
-    au2 = _abs2(uu)
-    u2 = uu * uu
-    ub = np.conj(uu)
+    def terms(uu):
+        au2 = _abs2(uu)
+        u2 = uu * uu
+        ub = np.conj(uu)
+        t, t2 = np.empty((2,) + uu.shape)
+        c, c2 = np.empty((2,) + uu.shape, uu.dtype)
 
-    def add(sums, P, S):
-        # promote every previous term from u^(i-1-j) psi to u^(i-j) psi;
-        # the derivative picks up the undifferentiated sums from one stage
-        # back, then the fresh degree-i term enters with no power of u
-        k, kb, k10, k10b, k11 = sums
-        phis, dphis = S
-        return (au2 * k + _abs2(phis),
-                u2 * kb + phis * phis,
-                ub * k + au2 * k10 + dphis * np.conj(phis),
-                uu * kb + u2 * k10b + dphis * phis,
-                k + 2.0 * np.real(uu * k10) + au2 * k11 + _abs2(dphis))
+        def add(sums, P, S):
+            # promote every previous term from u^(i-1-j) psi to u^(i-j) psi;
+            # the derivative picks up the undifferentiated sums from one stage
+            # back, then the fresh degree-i term enters with no power of u.
+            # Each sum is updated after the last read of its old value, and
+            # no complex product overwrites an operand (see szego._sweep)
+            k, kb, k10, k10b, k11 = sums
+            phis, dphis = S
+            np.add(np.multiply(2.0, np.multiply(uu, k10, out=c).real, out=t), k, out=t)
+            np.add(np.multiply(au2, k11, out=k11), t, out=k11)
+            k11 += _abs2(dphis, t, t2)
+            np.add(np.multiply(ub, k, out=c), np.multiply(au2, k10, out=c2), out=k10)
+            k10 += np.multiply(dphis, np.conjugate(phis, out=c), out=c2)
+            np.add(np.multiply(au2, k, out=k), _abs2(phis, t, t2), out=k)
+            np.add(np.multiply(uu, kb, out=c), np.multiply(u2, k10b, out=c2), out=k10b)
+            k10b += np.multiply(dphis, phis, out=c)
+            np.add(np.multiply(u2, kb, out=c), np.multiply(phis, phis, out=c2), out=kb)
+            return sums
 
-    return _kernel_sums(alpha, n, u, add, (0.0,) * 5, tuple)
+        return add, (np.zeros(uu.shape), np.zeros_like(c), np.zeros_like(c),
+                     np.zeros_like(c), np.zeros(uu.shape))
+
+    return _kernel_sums(alpha, n, u, terms, tuple)
 
 
 def kernel_direct(alpha, n, z, w):

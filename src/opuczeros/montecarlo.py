@@ -236,8 +236,11 @@ def _counts(roots, region):
     if isinstance(region, ScalingWindow):
         # the radii scale with the degree n, one more than the roots per trial
         n = roots.shape[-1] + 1
-        return _count_in_sector(roots, region.theta1, region.theta2,
-                                1.0 + region.tau1 / (2.0 * n), 1.0 + region.tau2 / (2.0 * n))
+        r1 = 1.0 + region.tau1 / (2.0 * n)
+        if r1 <= 0.0:
+            raise OutOfDomainError("scaling window extends past the origin")
+        return _count_in_sector(roots, region.theta1, region.theta2, r1,
+                                1.0 + region.tau2 / (2.0 * n))
     raise ValueError("unsupported region %r" % (region,))
 
 

@@ -9,16 +9,23 @@ exp(log_scale), with a shared exponent per evaluation point so that
 downstream ratio formulas never see the scale.
 
 The quadruple is stacked as P = [phi, phi'] and S = [phi^*, (phi^*)'], so a
-step is eight array operations: Q = z P, Q[1] += P[0], P = (Q - a S) s,
-S = (S - a Q) s with s = 1/sqrt(1 - a^2), each written in place into the
-buffers P, S, Q and T (T holds a S, then a Q).  Every element sees the
-arithmetic of four separate updates (phi + z phi' only becomes z phi' + phi).
+step is five array operations with s = 1/sqrt(1 - a^2): Q = z P,
+Q[1] += P[0], T = a X[::-1] and X = (X - T) s on the pair X = [Q, S] (or
+[S, Q]), all in place in one (3, 2, m) buffer and T.  P alternates between
+two slots, so Q = z P never overwrites its operand: numpy rounds a complex
+product written over a length-1 operand differently than at other lengths,
+so a lone point's bits would differ from its bits in a grid.  The product
+keeps its order, z P: swapped operands round differently too.  Every
+element sees the arithmetic of four separate updates (phi + z phi' only
+becomes z phi' + phi).
 
 A fold divides each accumulator by sc^p at a rescale, where p is its power
 in the sweep values: sums of squares p = 2, stored rows p = 1 (the real
 kernel route keeps the rows of a block of degrees and merges them at once,
-see ``intensity._kernel_rho``), ratios p = 0.  The kernel sums, ``evaluate``
-and E[P'/P] add one degree at a time, bit-identical to a per-step reference.
+see ``intensity._kernel_rho``), ratios p = 0.  The kernel sums and
+``evaluate`` add one degree at a time, bit-identical to a per-step
+reference; E[P'/P] also folds one degree at a time, but derives two of its
+sums (see ``intensity._contour_sums``).
 
 The range check ``_rescale`` runs only when a mantissa could leave
 [1e-100, 1e100].  Per step the largest of the four moduli grows by at most
@@ -198,16 +205,18 @@ def _sweep(a, z):
     Yields (P, S, sc) for degrees k = 0..len(a): P = [phi_k, phi_k'] and
     S = [phi_k^*, (phi_k^*)'] are the stacked mantissas in z's dtype, and sc
     the power-of-2 factor the step into degree k divided them by (None when
-    no point was rescaled).  Every step overwrites the same P and S buffers,
-    so a consumer copies what it keeps past the next step.  Consumers fold
-    the steps with ``_fold``.
+    no point was rescaled).  P and S are views of one (3, 2, m) buffer
+    that every step overwrites, so a consumer copies what it keeps past the
+    next step.  Consumers fold the steps with ``_fold``.
     """
     if not np.all(np.isfinite(z)):
         raise OutOfDomainError("evaluation point must be finite")
-    P = np.zeros((2,) + z.shape, dtype=z.dtype)
-    P[0] = 1.0
-    S = P.copy()
-    Q, T = np.empty_like(P), np.empty_like(P)
+    # P alternates between slots 0 and 2 of B, S stays in slot 1, and Q goes
+    # into the free slot beside S (see the module docstring)
+    B = np.zeros((3, 2) + z.shape, dtype=z.dtype)
+    B[:2, 0] = 1.0
+    T = np.empty_like(B[:2])
+    layouts = ((B[0], B[2], B[1:], B[:0:-1]), (B[2], B[0], B[:2], B[1::-1]))
     s = 1.0 / np.sqrt(1.0 - a * a)
     # prefix sums over degrees 0..k of log2 bounds per step: the growth of
     # the four-max, which also bounds the shrink of max(|phi|, |phi^*|), and
@@ -220,24 +229,22 @@ def _sweep(a, z):
     shrink = _prefix(np.log2((1.0 + np.abs(a)) * s)
                      + (math.log2(1.0 + r) - 2.0 * math.log2(r)))
     due = 1
-    yield P, S, None
+    S = B[1]
+    yield B[0], S, None
     for k, (ak, s) in enumerate(zip(a.tolist(), s.tolist()), 1):
-        # Q = z P, Q[1] += P[0], P = (Q - a S) s, S = (S - a Q) s, in place
+        P, Q, X, Xr = layouts[k % 2 == 0]  # Q ends as the new P
         np.multiply(z, P, out=Q)
         Q[1] += P[0]
-        np.multiply(ak, S, out=T)
-        np.subtract(Q, T, out=P)
-        P *= s
-        np.multiply(ak, Q, out=T)
-        S -= T
-        S *= s
+        np.multiply(ak, Xr, out=T)
+        X -= T
+        X *= s
         sc = None
         if k == due:
-            sc, up, low, four = _rescale(P, S)
+            sc, up, low, four = _rescale(Q, S)
             # a shrink is safe until both of its bounds could be used up
             down = max(_first(grow, k, low), _first(shrink, k, four))
             due = max(k + 1, min(_first(grow, k, up), down))
-        yield P, S, sc
+        yield Q, S, sc
 
 
 def _fold(steps, add, state, powers):

@@ -211,6 +211,9 @@ def test_input_error_exit_code(capsys):
         ["mc", "--n", "1"],
         ["mc", "--n", "8", "--trials", "0"],
         ["mc", "--n", "8", "--trials", "x"],
+        # the window's inner radius 1 + tau1/2n is below 0 at n = 16
+        ["mc", "--n", "16", "--trials", "50", "--region", "window:0.5:2.5:-40:4"],
+        ["expected-zeros", "--n", "16", "--region", "window:0.5:2.5:-40:4"],
         ["scaling-limit", "--tau-grid", "0:1:x"],
     ]
     for command in ("expected-zeros", "conservation-check"):

@@ -13,7 +13,7 @@ import pytest
 
 from opuczeros import (AnnularSector, OutOfDomainError, ScalingWindow,
                        VerblunskySequence, _quad, expectation,
-                       expected_complex_zeros, intensity, total_complex_zeros)
+                       expected_complex_zeros, intensity, szego, total_complex_zeros)
 from opuczeros.ensembles import constant, free, materialize, power_decay
 from opuczeros.expectation import GUARD_THETA, _clip_arcs, _integrate_sector
 from opuczeros.intensity import (complex_intensity_grid,
@@ -253,3 +253,65 @@ def test_reversed_log_derivative_is_finite_at_high_degree_near_zero():
     for alpha in (free(), power_decay(0.3, 2)):
         e, e_rev = log_derivative_pair_grid(materialize(alpha, 512), 512, u)
         assert np.all(np.isfinite(e)) and np.all(np.isfinite(e_rev))
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_contour_fold_does_not_depend_on_the_grid():
+    # each point's E[P'/P] swept alone equals its value inside a wide grid
+    # byte for byte: in the grid the other points rescale at other degrees
+    # (the fold divides this point's sums by 1 there), and in the reversed
+    # basis they start K at other degrees (u^(n-1-i) underflows longer at
+    # smaller |u|)
+    rng = np.random.default_rng(16)
+    big = VerblunskySequence(values=rng.choice([-1.0, 1.0], 600) * rng.uniform(0.7, 0.9, 600))
+    e = np.exp(1j * np.array([GUARD_THETA, 0.4, 1.5, 2.8, math.pi - GUARD_THETA, -0.7]))
+    z = np.concatenate([r * e for r in (0.3, 0.9, 1.0, 1.1, 2.0)])
+    u = np.concatenate([r * e for r in (1e-6, 1e-3, 0.5, 0.99, 1.0)])
+    partial = 0
+    for alpha, n in ((big, 600), (materialize(free(), 512), 512)):
+        for points in (z, u):
+            partial += any(sc is not None and np.any(sc == 1.0) and np.any(sc != 1.0)
+                           for _, _, sc in szego._sweep(alpha.array(n - 1), points))
+        wide = log_derivative_grid(alpha, n, z)
+        for i in range(len(z)):
+            assert _same_bytes(log_derivative_grid(alpha, n, z[i:i + 1]), wide[i:i + 1])
+        wide = log_derivative_pair_grid(alpha, n, u)
+        for i in range(len(u)):
+            for alone, w in zip(log_derivative_pair_grid(alpha, n, u[i:i + 1]), wide):
+                assert _same_bytes(alone, w[i:i + 1])
+    # some sweep rescales some points at a degree and leaves others alone
+    assert partial >= 2
+
+
+def _direct_a_b(steps):
+    """sum |v|^2 and sum v^2 added term by term over the rows of steps."""
+    def add(state, V, S):
+        a, b = state
+        v = V[0]
+        return a + (v.real * v.real + v.imag * v.imag), b + v * v
+
+    (a, b), _ = szego._fold(steps, add, (0.0, 0.0), (2, 2))
+    return a, b
+
+
+@pytest.mark.parametrize("n", [16, 256, 1024])
+def test_derived_a_and_b_match_direct_sums(n):
+    # A = K (1 + mu^2) + R and B = K (1 + i mu)^2 - R from the regression
+    # state, against the direct sums, in both bases: at the guard angle
+    # (where A^2 - |B|^2 nearly vanishes), in the interior, and reversed
+    # down to |u| = 1e-6, where the low degrees are skipped
+    e = np.exp(1j * np.array([GUARD_THETA, math.pi - GUARD_THETA, 1.2]))
+    z = np.concatenate([r * e for r in (0.5, 0.9, 1.0, 1.3)])
+    u = np.concatenate([r * e for r in (1e-6, 0.5, 1.0 - 1e-3)])
+    for spec in (free(), constant(0.5), power_decay(0.9, 0.5)):
+        a = materialize(spec, n).array(n - 1)
+        for points, rows in ((z, lambda s: s), (u, lambda s: intensity._pair_rows(s, n, u))):
+            got_a, got_b, *_ = intensity._contour_sums(rows(szego._sweep(a, points)),
+                                                       2 * len(points) if points is u
+                                                       else len(points))
+            want_a, want_b = _direct_a_b(rows(szego._sweep(a, points)))
+            assert np.all(np.abs(got_a - want_a) <= 1e-13 * want_a)
+            assert np.all(np.abs(got_b - want_b) <= 1e-13 * want_a)

@@ -13,3 +13,11 @@ def test_quick_tour_runs():
     exec(compile(code, str(README), "exec"), namespace)
     assert abs(namespace["val"] - 3.27) < 0.01
     assert namespace["rep"]["target"] == 31
+
+
+def test_public_api_size():
+    # the public API is tracked next to the timings: a change adds a public
+    # name on purpose, and updates this count with it
+    import opuczeros
+    assert len(opuczeros.__all__) == 27
+    assert all(hasattr(opuczeros, name) for name in opuczeros.__all__)

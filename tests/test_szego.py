@@ -378,10 +378,15 @@ def _near_one():
     return np.array(xs)
 
 
-def _per_degree_rho(steps):
+def _per_degree_rho(steps, m):
     """The kernel route folded one degree at a time by _residual_step."""
-    (k, _, r), _ = szego._fold(steps, lambda state, P, S: _residual_step(*state, *P),
-                               (0.0, 0.0, 0.0), (2, 0, 2))
+    scratch = np.empty((3, m))
+
+    def add(state, P, S):
+        _residual_step(*state, *P, scratch)
+        return state
+
+    (k, _, r), _ = szego._fold(steps, add, tuple(np.zeros((3, m))), (2, 0, 2))
     return np.sqrt(r / k) / np.pi
 
 
@@ -400,7 +405,7 @@ def test_kernel_merge_rounding_against_high_precision(spec, n):
     steps = [(np.array([v[0], v[2]]), None, sc)
              for v, sc in _oracle_sweep(materialize(spec, n).array(n - 1), xs)]
     got = _kernel_rho(iter(steps))
-    old = _per_degree_rho(iter(steps))
+    old = _per_degree_rho(iter(steps), len(xs))
     # relative errors, in units of eps * cond
     units_got, units_old = [], []
     with mpmath.workdps(80):
