@@ -339,16 +339,16 @@ def _contour_sums(steps, m):
     with it), but still enters C and D.  Returns (A, B, C, D, K, R).
     """
     scratch = np.empty((3, m))
-    u, vu = np.empty((2, 2, m), dtype=complex)
+    vv, dvv = np.empty((2, 2, m), dtype=complex)
 
     def add(state, V, S):
         cd, k, mu, r, started = state
         v = V[0]
         x, y = v.real, v.imag
         # [C, D] += v' [conj v, v], v' first as in the kernel sums
-        np.conjugate(v, out=u[0])
-        u[1] = v
-        cd += np.multiply(V[1], u, out=vu)
+        np.conjugate(v, out=vv[0])
+        vv[1] = v
+        cd += np.multiply(V[1], vv, out=dvv)
         if started:
             _residual_step(k, mu, r, x, y, scratch)
             return state

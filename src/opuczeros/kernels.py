@@ -53,18 +53,18 @@ def _complex_terms(zz):
     second one P * phi, so each element sees the arithmetic of five
     separate sums.  add writes into the sums it is given and returns them.
     """
-    real2 = np.zeros((3, 2) + zz.shape)
+    t, t2 = np.empty((2, 2) + zz.shape)
     c2 = np.empty((2,) + zz.shape, zz.dtype)
 
     def add(sums, P, S):
         s1, s2, k10 = sums
         phi, dphi = P
-        s1 += _abs2(P, real2[1], real2[2])
+        s1 += _abs2(P, t, t2)
         s2 += np.multiply(P, phi, out=c2)
         k10 += np.multiply(dphi, np.conjugate(phi, out=c2[0]), out=c2[1])
         return sums
 
-    return add, (real2[0], np.zeros_like(c2), np.zeros_like(c2[0]))
+    return add, (np.zeros_like(t), np.zeros_like(c2), np.zeros_like(c2[0]))
 
 
 def _unpack_complex(sums):
