@@ -427,6 +427,29 @@ def test_kernel_merge_rounding_against_high_precision(spec, n):
     assert max(units_got) <= max(units_old)
 
 
+def test_complex_sweep_does_not_depend_on_the_grid():
+    # a lone complex point sweeps through length-1 rows; numpy rounds a
+    # complex product written over a length-1 operand differently, so each
+    # point's values, kernel sums and log scale swept alone must equal its
+    # values inside the wide grid byte for byte
+    rng = np.random.default_rng(21)
+    z = 2.0 * np.sqrt(rng.uniform(0, 1, 24)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 24))
+    al = VerblunskySequence(values=_large_alphas(600, 16))
+    ev, b = evaluate(al, 600, z), kernel_bundle(al, 601, z)
+    inside = z[np.abs(z) <= 1.0]
+    rb = reversed_kernel_bundle(al, 601, inside)
+    fields = ("k_zz", "k_zzbar", "k10_zz", "k10_zzbar", "k11_zz", "log_scale")
+    for i in range(len(z)):
+        alone = evaluate(al, 600, z[i:i + 1])
+        for f in ("phi", "phi_star", "dphi", "dphi_star", "log_scale"):
+            assert _same_bytes(getattr(alone, f), getattr(ev, f)[i:i + 1])
+        alone = kernel_bundle(al, 601, z[i:i + 1])
+        assert all(_same_bytes(getattr(alone, f), getattr(b, f)[i:i + 1]) for f in fields)
+    for i in range(len(inside)):
+        alone = reversed_kernel_bundle(al, 601, inside[i:i + 1])
+        assert all(_same_bytes(getattr(alone, f), getattr(rb, f)[i:i + 1]) for f in fields)
+
+
 def test_kernel_route_does_not_depend_on_the_grid():
     # each point's kernel-route value swept alone equals its value inside a
     # wide grid byte for byte: in the grid the other points rescale at other
