@@ -308,10 +308,9 @@ def test_derived_a_and_b_match_direct_sums(n):
     u = np.concatenate([r * e for r in (1e-6, 0.5, 1.0 - 1e-3)])
     for spec in (free(), constant(0.5), power_decay(0.9, 0.5)):
         a = materialize(spec, n).array(n - 1)
-        for points, rows in ((z, lambda s: s), (u, lambda s: intensity._pair_rows(s, n, u))):
-            got_a, got_b, *_ = intensity._contour_sums(rows(szego._sweep(a, points)),
-                                                       2 * len(points) if points is u
-                                                       else len(points))
+        for points, rows, m in ((z, lambda s: s, len(z)),
+                                (u, lambda s: intensity._pair_rows(s, n, u), 2 * len(u))):
+            got_a, got_b, *_ = intensity._contour_sums(rows(szego._sweep(a, points)), m)
             want_a, want_b = _direct_a_b(rows(szego._sweep(a, points)))
             assert np.all(np.abs(got_a - want_a) <= 1e-13 * want_a)
             assert np.all(np.abs(got_b - want_b) <= 1e-13 * want_a)
