@@ -4,9 +4,11 @@ The whole-line real count reduces to 2 * integral over (-1, 1) of the real
 intensity through the inversion symmetry rho(1/x) = x^2 rho(x).
 
 Complex counts over annular sectors and near-circle scaling windows leave
-out a guard band of angle GUARD_THETA around the real axis: real zeros, and
-nonreal ones that close to R, are not counted.  What remains is a union of
-sectors, and their count is a 1-D integral by the argument principle,
+out a guard band of the fixed angle GUARD_THETA around the real axis: real
+zeros, and nonreal ones that close to R, are not counted.  What remains is
+a union of sectors between the region's radii at degree n (its radii
+method, which Monte Carlo counting reads too), and their count is a 1-D
+integral by the argument principle,
 (1/2 pi i) times the integral of E[P'/P] dz around each sector's boundary
 (the boundary form of the Shepp-Vanderbei area count; Edelman-Kostlan for
 the circular case).
@@ -83,6 +85,10 @@ class AnnularSector:
         if not 0.0 < self.theta2 - self.theta1 <= 2.0 * math.pi:
             raise OutOfDomainError("annular sector needs theta1 < theta2 <= theta1 + 2 pi")
 
+    def radii(self, n):
+        """Inner and outer radius, 1 -+ delta at every degree."""
+        return 1.0 - self.delta, 1.0 + self.delta
+
 
 @dataclass(frozen=True)
 class ScalingWindow:
@@ -96,6 +102,13 @@ class ScalingWindow:
             raise OutOfDomainError("scaling window needs tau1 < tau2")
         if not 0.0 < self.theta2 - self.theta1 <= 2.0 * math.pi:
             raise OutOfDomainError("scaling window needs theta1 < theta2 <= theta1 + 2 pi")
+
+    def radii(self, n):
+        """Inner and outer radius 1 + tau/(2n) at degree n; the inner one must be > 0."""
+        r1 = 1.0 + self.tau1 / (2.0 * n)
+        if r1 <= 0.0:
+            raise OutOfDomainError("scaling window extends past the origin")
+        return r1, 1.0 + self.tau2 / (2.0 * n)
 
 
 def _check_degree(n):
@@ -131,17 +144,18 @@ def expected_real_zeros(alpha, n, region=WholeRealLine(), tol=1e-9):
     def f(x):
         return real_intensity_grid(seq, n, x)
 
-    inner = _graded_splits(n)
     if isinstance(region, WholeRealLine):
-        val, err = adaptive_gl(f, -1.0, 1.0, tol=tol,
-                               splits=[t * s for s in inner for t in (-1.0, 1.0)])
-        return QuadResult(*_rounding_floor(2.0 * val, 2.0 * err, 0.0), None)
-    if isinstance(region, RealInterval):
-        marks = [1.0, *inner, *(1.0 / s for s in inner if s > 0.0)]
-        splits = [t * s for s in marks for t in (-1.0, 1.0)]
-        val, err = adaptive_gl(f, region.a, region.b, tol=tol, splits=splits)
-        return QuadResult(*_rounding_floor(val, err, 0.0), None)
-    raise OutOfDomainError("unsupported region for real-zero counting")
+        # rho(1/x) = x^2 rho(x): the count beyond +-1 equals the count inside
+        a, b, scale = -1.0, 1.0, 2.0
+    elif isinstance(region, RealInterval):
+        a, b, scale = region.a, region.b, 1.0
+    else:
+        raise OutOfDomainError("unsupported region for real-zero counting")
+    inner = _graded_splits(n)
+    marks = [1.0, *inner, *(1.0 / s for s in inner if s > 0.0)]
+    val, err = adaptive_gl(f, a, b, tol=tol,
+                           splits=[t * s for s in marks for t in (-1.0, 1.0)])
+    return QuadResult(*_rounding_floor(scale * val, scale * err, 0.0), None)
 
 
 def _clip_arcs(theta1, theta2, guard):
@@ -278,45 +292,35 @@ def _contour_count(seq, n, arcs, r1, r2, tol):
     return _rounding_floor(*adaptive_gl(f, 0.0, starts[-1], tol=tol, splits=splits))
 
 
-def expected_complex_zeros(alpha, n, region, tol=1e-6, guard=GUARD_THETA):
+def expected_complex_zeros(alpha, n, region, tol=1e-6):
     """Expected number of complex zeros of P_n in the region.
 
-    The region is cut to the arcs at least guard away from the real axis
-    (real zeros, and the nonreal ones within that angle of R, are not
-    counted), and the count is the contour integral of E[P'/P] around the
-    resulting sectors (_contour_count); the stated error bounds the whole
-    region.  For a scaling window the asymptotic prediction
-    n * |S|/(2 pi) * (H'/H(tau2) - H'/H(tau1)) is returned alongside.
+    The region is cut to the arcs at least GUARD_THETA away from the real
+    axis (real zeros, and the nonreal ones within that fixed angle of R, are
+    not counted), and the count is the contour integral of E[P'/P] around
+    the sectors between its radii at degree n (_contour_count); the stated
+    error bounds the whole region.  For a scaling window the asymptotic
+    prediction n * |S|/(2 pi) * (H'/H(tau2) - H'/H(tau1)) comes alongside.
     """
     _check_degree(n)
-    if not guard > 0.0:
-        # the contour runs along the band's edges, where E[P'/P] must be finite
-        raise OutOfDomainError("complex counts need guard > 0, got %r" % guard)
-    seq = as_verblunsky(alpha)
-    if isinstance(region, AnnularSector):
-        arcs = _clip_arcs(region.theta1, region.theta2, guard)
-        val, err = _contour_count(seq, n, arcs, 1.0 - region.delta,
-                                  1.0 + region.delta, tol)
-        return QuadResult(val, err, None)
+    if not isinstance(region, (AnnularSector, ScalingWindow)):
+        raise OutOfDomainError("unsupported region for complex-zero counting")
+    r1, r2 = region.radii(n)
+    arcs = _clip_arcs(region.theta1, region.theta2, GUARD_THETA)
+    val, err = _contour_count(as_verblunsky(alpha), n, arcs, r1, r2, tol)
+    pred = None
     if isinstance(region, ScalingWindow):
-        arcs = _clip_arcs(region.theta1, region.theta2, guard)
-        r1 = 1.0 + region.tau1 / (2.0 * n)
-        r2 = 1.0 + region.tau2 / (2.0 * n)
-        if r1 <= 0.0:
-            raise OutOfDomainError("scaling window extends past the origin")
-        val, err = _contour_count(seq, n, arcs, r1, r2, tol)
         span = region.theta2 - region.theta1
         pred = n * span / (2.0 * math.pi) * (
             growth_log_derivative(region.tau2) - growth_log_derivative(region.tau1))
-        return QuadResult(val, err, pred)
-    raise OutOfDomainError("unsupported region for complex-zero counting")
+    return QuadResult(val, err, pred)
 
 
-def total_complex_zeros(alpha, n, tol=1e-4, guard=GUARD_THETA):
-    """Expected complex zeros over the whole plane off the guard band around R.
+def total_complex_zeros(alpha, n, tol=1e-4):
+    """Expected complex zeros over the whole plane off the fixed guard band around R.
 
     By conjugation symmetry this is twice the count in the upper-half sector
-    g < arg z < pi - g (g = guard), 0 < |z| < infinity, taken by the
+    g < arg z < pi - g (g = GUARD_THETA), 0 < |z| < infinity, taken by the
     argument principle around its boundary.  The inner arc has zero length;
     on the arc at infinity E[P'/P] = (n - 1)/z + O(1/z^2) contributes
     (n - 1)(pi - 2g)/(2 pi); on the rays the (n - 1)/z part is real and
@@ -335,13 +339,10 @@ def total_complex_zeros(alpha, n, tol=1e-4, guard=GUARD_THETA):
     whose size is about that of the real count.
     """
     _check_degree(n)
-    if not 0.0 < guard < 0.5 * math.pi:
-        # the rays run along the band's edges, where E[P'/P] must be finite
-        raise OutOfDomainError("complex totals need 0 < guard < pi/2, got %r" % guard)
     if n == 1:
         return QuadResult(0.0, 0.0, None)
     seq = as_verblunsky(alpha)
-    rays = np.exp(1j * np.array([guard, math.pi - guard]))
+    rays = np.exp(1j * np.array([GUARD_THETA, math.pi - GUARD_THETA]))
     inner = _graded_splits(n)
 
     def f(t):
@@ -353,7 +354,7 @@ def total_complex_zeros(alpha, n, tol=1e-4, guard=GUARD_THETA):
 
     val, err = adaptive_gl(f, 0.0, 2.0, tol=tol,
                            splits=[*inner, 1.0, *(2.0 - x for x in inner)])
-    return QuadResult(*_rounding_floor((n - 1) * (1.0 - 2.0 * guard / math.pi) + val,
+    return QuadResult(*_rounding_floor((n - 1) * (1.0 - 2.0 * GUARD_THETA / math.pi) + val,
                                        err), None)
 
 

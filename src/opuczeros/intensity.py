@@ -410,9 +410,11 @@ def _pair_rows(steps, n, u):
     P^*(u) = u^(n-1) P(1/u) = sum eta_i psi_i(u) (real coefficients), and
     psi_i' = u^(n-1-i) (phi_i^*' + (n-1-i) phi_i^* / u).  The power shrinks
     with the degree gap, so for small |u| the low degrees underflow (their
-    terms are skipped by _contour_sums); it is recomputed from log u
-    every _POWER_ANCHOR degrees so that a chain started from an underflowed
-    u^(n-1) does not carry its lost digits into the terms that count.  The
+    terms are skipped by _contour_sums).  It is recomputed from log u every
+    _POWER_ANCHOR degrees, and at every degree where it is below the
+    smallest normal float, so that no chain carries an underflowed power's
+    lost digits (or its 0) into the terms that count; with |u| <= 1 the
+    power grows with the degree, so a point leaves that set for good.  The
     rows go into one (2, 2m) buffer that every degree overwrites.
     """
     m = len(u)
@@ -420,9 +422,13 @@ def _pair_rows(steps, n, u):
     t = np.empty(m, dtype=complex)
     v = 1.0 / u
     log_u = np.log(u)
+    low = np.arange(m)
     for i, (P, S, sc) in enumerate(steps):
         p = n - 1 - i
         w = np.exp(p * log_u) if i % _POWER_ANCHOR == 0 else w * v
+        if low.size:
+            w[low] = np.exp(p * log_u[low])
+            low = low[np.abs(w[low]) < _TINY]
         phis, dphis = S
         V[:, :m] = P
         np.multiply(w, phis, out=V[0, m:])

@@ -224,24 +224,16 @@ def _counts(roots, region):
     """Per-trial counts in region from the stacked (trials, n - 1) roots."""
     if isinstance(region, WholePlane):
         return np.full(len(roots), roots.shape[-1])
-    if isinstance(region, WholeRealLine):
-        return np.count_nonzero(is_real_root(roots), axis=-1)
-    if isinstance(region, RealInterval):
+    if isinstance(region, (WholeRealLine, RealInterval)):
+        a, b = ((-np.inf, np.inf) if isinstance(region, WholeRealLine)
+                else (region.a, region.b))
         x = roots.real
-        return np.count_nonzero(is_real_root(roots) & (region.a <= x) & (x <= region.b),
-                                axis=-1)
-    if isinstance(region, AnnularSector):
-        return _count_in_sector(roots, region.theta1, region.theta2,
-                                1.0 - region.delta, 1.0 + region.delta)
-    if isinstance(region, ScalingWindow):
+        return np.count_nonzero(is_real_root(roots) & (a <= x) & (x <= b), axis=-1)
+    if isinstance(region, (AnnularSector, ScalingWindow)):
         # the radii scale with the degree n, one more than the roots per trial
-        n = roots.shape[-1] + 1
-        r1 = 1.0 + region.tau1 / (2.0 * n)
-        if r1 <= 0.0:
-            raise OutOfDomainError("scaling window extends past the origin")
-        return _count_in_sector(roots, region.theta1, region.theta2, r1,
-                                1.0 + region.tau2 / (2.0 * n))
-    raise ValueError("unsupported region %r" % (region,))
+        r1, r2 = region.radii(roots.shape[-1] + 1)
+        return _count_in_sector(roots, region.theta1, region.theta2, r1, r2)
+    raise OutOfDomainError("unsupported region for zero counting")
 
 
 def _report(region, counts):
@@ -270,7 +262,7 @@ def count_in_region(roots_list, region):
 
 
 def count_in_scaling_window(roots_list, window, n):
-    """Counts in {r e^{i theta}: r in (1 + tau1/2n, 1 + tau2/2n), theta in arc}.
+    """Counts in the window's arc between its radii at degree n (ScalingWindow.radii).
 
     n must be the degree the roots come from, n - 1 roots per trial.
     """

@@ -112,16 +112,6 @@ def test_degree_one_and_empty_regions_have_no_complex_zeros():
     assert (got.value, got.error) == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("guard", [0.0, -1e-5, math.nan])
-def test_guard_band_must_keep_the_contour_off_the_axis(guard):
-    with pytest.raises(OutOfDomainError):
-        expected_complex_zeros(materialize(free(), 16), 16,
-                               AnnularSector(0.0, math.pi, 0.3), guard=guard)
-    # the total once returned 5.05 at guard 0 and 0.0 at guard nan
-    with pytest.raises(OutOfDomainError):
-        total_complex_zeros(materialize(free(), 8), 8, guard=guard)
-
-
 @pytest.mark.parametrize("n", [0, -3])
 def test_total_needs_a_positive_degree(n):
     # n = 0 once raised ZeroDivisionError and n = -3 returned 0.0
@@ -228,13 +218,16 @@ def test_reversed_log_derivative_matches_high_precision(name, n):
     # There, next to R, Re E[P^*'/P^*] keeps only about 5 digits (measured
     # 7e-6 relative): C/A - (D/A) conj(b)/(1 + sqrt(delta)) cancels to
     # sqrt(delta) ~ |u| g.  The totals integrate Im(e^(i theta) E), which
-    # keeps 3e-11.
+    # keeps 3e-11.  At |u| = 1e-12 and 1e-20 u^(n-1) underflows to 0, and
+    # the power chain once carried that 0 to every degree ("too close to
+    # R"); other ensembles than the free one lose digits there, see below.
     mpmath = pytest.importorskip("mpmath")
     alpha = {"free": free(), "constant(0.5)": constant(0.5),
              "power_decay(0.9, 0.5)": power_decay(0.9, 0.5)}[name]
     seq = materialize(alpha, n)
-    for x in (1e-6, 0.5, 1.0 - 1e-3):
-        for theta in (GUARD_THETA, math.pi - GUARD_THETA):
+    tiny = (1e-12, 1e-20) if name == "free" else ()
+    for x in (*tiny, 1e-6, 0.5, 1.0 - 1e-3):
+        for theta in (GUARD_THETA, 1.0, math.pi - GUARD_THETA):
             e = np.exp(1j * theta)
             _, got = log_derivative_pair_grid(seq, n, [x * e])
             with mpmath.workdps(120):
@@ -244,6 +237,26 @@ def test_reversed_log_derivative_matches_high_precision(name, n):
             assert abs((e * (got[0] - want)).imag) <= 1e-9 * abs(want), (x, theta)
             rel = 1e-9 if x > 1e-3 else 1e-4
             assert abs(got[0] - want) <= rel * abs(want), (x, theta)
+
+
+@pytest.mark.xfail(strict=True, reason="E[P^*'/P^*] loses relative accuracy like "
+                   "eps/|u| near u = 0 beyond the free ensemble")
+@pytest.mark.parametrize("name, n", [("constant(0.5)", 48), ("power_decay(0.9, 0.5)", 64)])
+def test_reversed_log_derivative_near_zero_beyond_the_free_ensemble(name, n):
+    # measured relative error at arg u = 1: about 1e-4 at |u| = 1e-12 and
+    # 1e3 to 1e4 at 1e-20, finite and unflagged.  The sweep is accurate
+    # there; the rows of degree n - 1 and n - 2 take u^0 from the power
+    # chain, whose phase error of about eps swamps imaginary parts of size |u|
+    mpmath = pytest.importorskip("mpmath")
+    seq = materialize({"constant(0.5)": constant(0.5),
+                       "power_decay(0.9, 0.5)": power_decay(0.9, 0.5)}[name], n)
+    for x in (1e-12, 1e-20):
+        u = x * np.exp(1j)
+        _, got = log_derivative_pair_grid(seq, n, [u])
+        with mpmath.workdps(120):
+            want = complex((n - 1) / mpmath.mpc(u) - _log_derivative_mp(
+                seq.array(n), n, 1 / mpmath.mpc(u), mpmath) / mpmath.mpc(u) ** 2)
+        assert abs(got[0] - want) <= 1e-4 * abs(want), x
 
 
 def test_reversed_log_derivative_is_finite_at_high_degree_near_zero():

@@ -303,3 +303,17 @@ def test_scaling_window_degree_must_match_roots():
         count_in_region(roots, win).counts.tolist()
     with pytest.raises(OutOfDomainError, match="n = 1000"):
         count_in_scaling_window(roots, win, 1000)
+
+
+def test_quadrature_and_monte_carlo_reject_the_same_regions():
+    # both read a region's radii from the region: a window reaching past the
+    # origin at n = 16 (1 - 40/32 < 0) fails alike, and so does a region
+    # neither route knows (Monte Carlo once raised a plain ValueError)
+    n = 16
+    roots = sample_roots(SampleBatch(n=n, alpha=free_seq(), seed=3, trials=4))
+    for region, match in ((ScalingWindow(0.5, 2.5, -40.0, 4.0), "extends past the origin"),
+                          (object(), "unsupported region")):
+        with pytest.raises(OutOfDomainError, match=match):
+            expected_complex_zeros(free_seq(), n, region)
+        with pytest.raises(OutOfDomainError, match=match):
+            count_in_region(roots, region)
