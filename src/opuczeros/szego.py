@@ -11,7 +11,9 @@ downstream ratio formulas never see the scale.
 The quadruple is stacked as P = [phi, phi'] and S = [phi^*, (phi^*)'], so a
 step is five array operations with s = 1/sqrt(1 - a^2): Q = z P,
 Q[1] += P[0], T = a X[::-1] and X = (X - T) s on the pair X = [Q, S] (or
-[S, Q]), all in place in one (3, 2, m) buffer and T.  P alternates between
+[S, Q]), all in place in one (3, 2, m) buffer and T.  With a = 0 a step
+is the first two alone: s = 1 and the mixing changes no finite value, so
+the free (Kac) ensemble and Bernstein-Szegő tails skip it.  P alternates between
 two slots, so Q = z P never overwrites its operand: numpy rounds a complex
 product written over a length-1 operand differently than at other lengths,
 so a lone point's bits would differ from its bits in a grid.  The product
@@ -57,7 +59,10 @@ floating-point unit.  The flush waits for the scheduled check rather than
 running every step, which keeps the normal-range values: through the sums
 of a step a value below 2^-1022 can change the rounding of another element
 only when that element is below about 2^-968 (half an ulp of it).  The
-tests' reference sweep flushes after every step and matches bit for bit.
+tests' reference sweep flushes after every step and matches bit for bit,
+up to the sign of an exact zero: a step with a = 0 keeps a -0.0 mantissa
+where the full step turns it into +0.0 wherever a X[::-1] is -0.0 (the
+kernel sums and log scales match exactly).
 Compared with not flushing, only raw mantissas below 2^-968 change: the
 subnormals become 0, and a derivative still in that band while phi
 underflows loses the phi terms (phi_n' of the free ensemble at n = 4096,
@@ -235,9 +240,10 @@ def _sweep(a, z):
         P, Q, X, Xr = layouts[k % 2 == 0]  # Q ends as the new P
         np.multiply(z, P, out=Q)
         Q[1] += P[0]
-        np.multiply(ak, Xr, out=T)
-        X -= T
-        X *= s
+        if ak:  # with a = 0, s = 1 and the mixing changes no finite value
+            np.multiply(ak, Xr, out=T)
+            X -= T
+            X *= s
         sc = None
         if k == due:
             sc, up, low, four = _rescale(Q, S)

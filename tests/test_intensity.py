@@ -14,6 +14,7 @@ from opuczeros.intensity import (CLOSED_CUTOFF, complex_intensity_grid,
                                  real_intensity_grid, real_intensity_kernel,
                                  real_intensity_kernel_grid)
 from opuczeros.ensembles import constant, free as free_spec, materialize, power_decay
+from opuczeros.kernels import kernel_bundle
 from opuczeros._quad import adaptive_gl
 
 
@@ -175,6 +176,51 @@ def test_limit_real_density():
     al = materialize(power_decay(0.3, 2), 512)
     rho = real_intensity_closed(al, 512, 0.5).rho
     assert abs(rho - 4.0 / (3.0 * math.pi)) <= 0.02 * 4.0 / (3.0 * math.pi)
+
+
+def _constant_limit(a):
+    """b = lim phi_n/phi_n^* and b' on (-1, 1) for alpha_k = a, in closed form.
+
+    The step is (phi, phi^*) -> s [[z, -a], [-a z, 1]] (phi, phi^*); its
+    eigenvalues solve l^2 - (1 + z) l + (1 - a^2) z = 0, real on (-1, 1),
+    and the eigenvector of the larger one, l+, gives b(z) = a/(z - l+(z)).
+    """
+    def root(x):
+        return 0.5 * (1.0 + x + math.sqrt((1.0 - x) ** 2 + 4.0 * a * a * x))
+
+    def b(x):
+        return a / (x - root(x))
+
+    def db(x):
+        lp = root(x)
+        dl = (lp - (1.0 - a * a)) / (2.0 * lp - (1.0 + x))
+        return -a * (1.0 - dl) / (x - lp) ** 2
+
+    return b, db
+
+
+@pytest.mark.parametrize("a", [0.5, -0.5, 0.9])
+def test_constant_coefficients_reach_their_closed_form_limit(a):
+    # the eigenvalue ratio is at most 0.45 on |x| <= 0.5 (0.23 for a = 0.9),
+    # so b_n = b to rounding from n = 64 on; what remains grows with n
+    # through the derivatives (measured 5.9e-12 at n = 512 and 1.7e-10 at
+    # n = 4096 for a = 0.9, 1.1e-12 or less for a = +-0.5)
+    b, db = _constant_limit(a)
+    x = np.linspace(-0.5, 0.5, 21)
+    want = np.array([limit_real_density(xi, b, db) for xi in x])
+    for n in (64, 512, 4096):
+        got = real_intensity_grid(materialize(constant(a), n), n, x)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-10 * max(1.0, n / 512)
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_constant_mass_point_weight(n):
+    # constant(a > 0) has a mass point at z = 1 of weight 1/sum phi_k(1)^2 =
+    # 2a/(1 + a), since phi_k(1) = ((1 - a)/(1 + a))^(k/2); by n = 512
+    # phi_k'(1) has grown past 1e100, so K_n(1, 1) is stored rescaled
+    kb = kernel_bundle(materialize(constant(0.5), n), n, np.array([1.0]))
+    weight = 1.0 / (kb.k_zz[0] * math.exp(kb.log_scale[0]))
+    assert abs(weight - 2.0 * 0.5 / 1.5) <= 1e-12
 
 
 def test_growth_log_derivative():

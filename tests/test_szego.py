@@ -283,15 +283,31 @@ def test_sweep_bit_identical_to_reference():
                     0.972, 0.61, 0.917, 0.814, -0.82, -0.999, 0.754], 50),
          np.array([1.0, -1.0])),
     ]
+    # zero coefficients, whose steps skip the mixing: interleaved with large
+    # ones, a Bernstein-Szego tail, and -0.0 entries of both kinds
+    interleaved = _large_alphas(600, 18)
+    interleaved[::3] = 0.0
+    tail = np.concatenate([_large_alphas(200, 18), np.zeros(400)])
+    negative = -np.concatenate([interleaved[:300], tail[300:]])
+    grid = np.linspace(-2.0, 2.0, 17)  # 0 and +-1 among them
+    # the reference's full step turns an exact -0.0 into +0.0 where
+    # a X[::-1] is -0.0, and a skipped step keeps it; so in these cases the
+    # raw values are compared with -0.0 mapped to +0.0 (x + 0.0), while the
+    # sums and log scales below stay byte-identical
+    cases = [(a, z, False) for a, z in cases]
+    cases += [(a, z, True) for a in (interleaved, tail, negative) for z in (grid, disk2)]
     saw_rescale = saw_upward = 0
-    for a, z in cases:
+    for a, z, unsigned in cases:
         n = len(a)
         al = VerblunskySequence(values=a)
         ev = evaluate(al, n, z)
         (phi, phis, dphi, dphis), ls = _oracle_sums(a, z, lambda s, *v: list(v))
-        for got, want in zip((ev.phi, ev.phi_star, ev.dphi, ev.dphi_star, ev.log_scale),
-                             (phi, phis, dphi, dphis, ls)):
+        for got, want in zip((ev.phi, ev.phi_star, ev.dphi, ev.dphi_star),
+                             (phi, phis, dphi, dphis)):
+            if unsigned:
+                got, want = got + 0.0, want + 0.0
             assert _same_bytes(got, want)
+        assert _same_bytes(ev.log_scale, ls)
         saw_rescale += bool(np.any(ls != 0.0))
         saw_upward += any(sc is not None and np.any(sc < 1.0) for _, sc in _oracle_sweep(a, z))
         b = kernel_bundle(al, n + 1, z)
@@ -431,34 +447,40 @@ def test_complex_sweep_does_not_depend_on_the_grid():
     # a lone complex point sweeps through length-1 rows; numpy rounds a
     # complex product written over a length-1 operand differently, so each
     # point's values, kernel sums and log scale swept alone must equal its
-    # values inside the wide grid byte for byte
+    # values inside the wide grid byte for byte, also where zero
+    # coefficients skip the mixing of the step (a Bernstein-Szego tail)
     rng = np.random.default_rng(21)
     z = 2.0 * np.sqrt(rng.uniform(0, 1, 24)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 24))
-    al = VerblunskySequence(values=_large_alphas(600, 16))
-    ev, b = evaluate(al, 600, z), kernel_bundle(al, 601, z)
     inside = z[np.abs(z) <= 1.0]
-    rb = reversed_kernel_bundle(al, 601, inside)
     fields = ("k_zz", "k_zzbar", "k10_zz", "k10_zzbar", "k11_zz", "log_scale")
-    for i in range(len(z)):
-        alone = evaluate(al, 600, z[i:i + 1])
-        for f in ("phi", "phi_star", "dphi", "dphi_star", "log_scale"):
-            assert _same_bytes(getattr(alone, f), getattr(ev, f)[i:i + 1])
-        alone = kernel_bundle(al, 601, z[i:i + 1])
-        assert all(_same_bytes(getattr(alone, f), getattr(b, f)[i:i + 1]) for f in fields)
-    for i in range(len(inside)):
-        alone = reversed_kernel_bundle(al, 601, inside[i:i + 1])
-        assert all(_same_bytes(getattr(alone, f), getattr(rb, f)[i:i + 1]) for f in fields)
+    for a in (_large_alphas(600, 16), np.concatenate([_large_alphas(200, 16), np.zeros(400)])):
+        al = VerblunskySequence(values=a)
+        ev, b = evaluate(al, 600, z), kernel_bundle(al, 601, z)
+        rb = reversed_kernel_bundle(al, 601, inside)
+        for i in range(len(z)):
+            alone = evaluate(al, 600, z[i:i + 1])
+            for f in ("phi", "phi_star", "dphi", "dphi_star", "log_scale"):
+                assert _same_bytes(getattr(alone, f), getattr(ev, f)[i:i + 1])
+            alone = kernel_bundle(al, 601, z[i:i + 1])
+            assert all(_same_bytes(getattr(alone, f), getattr(b, f)[i:i + 1]) for f in fields)
+        for i in range(len(inside)):
+            alone = reversed_kernel_bundle(al, 601, inside[i:i + 1])
+            assert all(_same_bytes(getattr(alone, f), getattr(rb, f)[i:i + 1]) for f in fields)
 
 
 def test_kernel_route_does_not_depend_on_the_grid():
     # each point's kernel-route value swept alone equals its value inside a
     # wide grid byte for byte: in the grid the other points rescale at other
     # degrees (the fold divides this point's rows and sums by 1 there), and
-    # the blocks split the degrees the same way at any width
+    # the blocks split the degrees the same way at any width; the same holds
+    # for the dispatching grid, and where zero coefficients skip the mixing
     near = [-1.0, 1.0 - 1e-4, -(1.0 - 1e-4), 0.9996, -0.9996, 1.0004, -1.0004,
             1.0 - 1e-9, -(1.0 - 1e-9)]
-    cases = [(VerblunskySequence(values=_large_alphas(600, 16)), 600,
-              np.concatenate([near, [1.0], np.linspace(-2.0, 2.0, 17)])),
+    x = np.concatenate([near, [1.0], np.linspace(-2.0, 2.0, 17)])
+    cases = [(VerblunskySequence(values=_large_alphas(600, 16)), 600, x),
+             # a Bernstein-Szego tail: 400 zero coefficients after 200 large ones
+             (VerblunskySequence(values=np.concatenate([_large_alphas(200, 16),
+                                                        np.zeros(400)])), 600, x),
              # phi and phi^* vanish at x = 1 near degree 839, so 1 itself raises
              (materialize(constant(0.5), 2000), 2000, np.array(near + [0.5, -2.0, 3.0]))]
     for al, n, x in cases:
@@ -474,3 +496,4 @@ def test_kernel_route_does_not_depend_on_the_grid():
             assert _same_bytes(wide[i:i + 1], alone)
             if kernel[i]:
                 assert _same_bytes(fused[i:i + 1], alone)
+            assert _same_bytes(fused[i:i + 1], real_intensity_grid(al, n, [xi]))
