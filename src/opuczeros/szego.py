@@ -13,13 +13,13 @@ step is five array operations with s = 1/sqrt(1 - a^2): Q = z P,
 Q[1] += P[0], T = a X[::-1] and X = (X - T) s on the pair X = [Q, S] (or
 [S, Q]), all in place in one (3, 2, m) buffer and T.  With a = 0 a step
 is the first two alone: s = 1 and the mixing changes no finite value, so
-the free (Kac) ensemble and Bernstein-Szegő tails skip it.  P alternates between
-two slots, so Q = z P never overwrites its operand: numpy rounds a complex
-product written over a length-1 operand differently than at other lengths,
-so a lone point's bits would differ from its bits in a grid.  The product
-keeps its order, z P: swapped operands round differently too.  Every
-element sees the arithmetic of four separate updates (phi + z phi' only
-becomes z phi' + phi).
+the free (Kac) ensemble and Bernstein-Szegő tails skip it.  P alternates
+between two slots, so Q = z P never overwrites its operand: numpy rounds a
+complex product written over a length-1 operand differently than at other
+lengths, so a lone point's bits would differ from its bits in a grid.  The
+product keeps its order, z P: swapped operands round differently too.
+Every element sees the arithmetic of four separate updates (phi + z phi'
+only becomes z phi' + phi).
 
 A fold divides each accumulator by sc^p at a rescale, where p is its power
 in the sweep values: sums of squares p = 2, stored rows p = 1 (the real
