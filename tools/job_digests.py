@@ -1,7 +1,6 @@
 """Print a sha256 of every benchmark job's result, to check outputs byte for byte.
 
     python3 tools/job_digests.py --seed 101
-    python3 tools/job_digests.py --seed 101 --workload grid_eval
     python3 tools/job_digests.py --seed 101 --root ../other-checkout
 
 Each job of each workload in ``perfbench/workloads.py`` is built at the seed
@@ -25,17 +24,9 @@ import sys
 import tempfile
 
 
-def job_digests(workloads, name, seed, outdir):
-    """(job name, sha256 hex of its result's digest) for every job of a workload."""
-    jobs = workloads.build(name, seed, workloads.load_references(), outdir)
-    return [(job.name, hashlib.sha256(workloads.digest(job.compute())).hexdigest())
-            for job in jobs]
-
-
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workload", action="append", help="repeatable; default all four")
     p.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    help="checkout whose src/ and perfbench/ are imported")
     args = p.parse_args(argv)
@@ -45,17 +36,14 @@ def main(argv=None):
     import run  # the worker's thread settings, applied before numpy loads
     os.environ.update(run.THREAD_ENV)
     import workloads
-    names = args.workload or list(workloads.WORKLOADS)
-    unknown = sorted(set(names) - set(workloads.WORKLOADS))
-    if unknown:
-        p.error("unknown workload %s; choose from %s"
-                % (", ".join(unknown), ", ".join(workloads.WORKLOADS)))
     with tempfile.TemporaryDirectory() as outdir:
-        for name in names:
-            pairs = job_digests(workloads, name, args.seed, outdir)
-            for job, hexdigest in pairs:
-                print("%s %s %s" % (name, job, hexdigest))
-            total = hashlib.sha256("".join(h for _, h in pairs).encode()).hexdigest()
+        for name in workloads.WORKLOADS:
+            jobs = workloads.build(name, args.seed, workloads.load_references(), outdir)
+            hexdigests = []
+            for job in jobs:
+                hexdigests.append(hashlib.sha256(workloads.digest(job.compute())).hexdigest())
+                print("%s %s %s" % (name, job.name, hexdigests[-1]))
+            total = hashlib.sha256("".join(hexdigests).encode()).hexdigest()
             print("%s * %s" % (name, total), flush=True)
     return 0
 
