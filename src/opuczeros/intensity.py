@@ -169,32 +169,40 @@ def real_intensity_kernel_grid(alpha, n, x):
     """Kernel-form real intensity on a grid, valid at x = +-1 too.
 
     sqrt(K K^(1,1) - (K^(1,0))^2)/(pi K) from the CD kernel sums over
-    degrees 0..n-1, accumulated as in _kernel_rho.  Raises
-    OutOfDomainError where K_n(x, x) underflows against K_n^(1,1)(x, x)
-    (x = 1 for constant(0.5) from n = 840).
+    degrees 0..n-1, accumulated as in _kernel_rho, at u = _inverted(x).
+    Raises OutOfDomainError where K_n(x, x) underflows against
+    K_n^(1,1)(x, x) (x = 1 for constant(0.5) from n = 840).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if n <= 1:
         return np.zeros(x.shape)
-    return _kernel_rho(_sweep(as_verblunsky(alpha).array(n - 1), x))
+    return _uninverted(_kernel_rho(_sweep(as_verblunsky(alpha).array(n - 1), _inverted(x))), x)
 
 
 def _inverted(x):
-    """The points the closed form is evaluated at: x, or 1/x for |x| >= 1."""
+    """The points both routes sweep: x, or 1/x for |x| >= 1.
+
+    Past +-1 the values grow geometrically, so a direct sweep rescales
+    at nearly every step; at 1/x they stay in range.
+    """
     outer = np.abs(x) >= 1.0
     u = x.copy()
     u[outer] = 1.0 / x[outer]
     return u
 
 
+def _uninverted(rho, x):
+    """rho at x from rho at u = _inverted(x), in place: rho(x) = rho(1/x)/x^2."""
+    outer = np.abs(x) >= 1.0
+    rho[outer] = rho[outer] / (x[outer] * x[outer])
+    return rho
+
+
 def _closed_rho(P, S, x, u):
     """Closed-form intensity at x from the degree-n values P, S at u = _inverted(x)."""
     (phi, dphi), (phi_star, dphi_star) = P, S
     h = _h(phi, phi_star, dphi, dphi_star, u)
-    rho = _clamped_sqrt(1.0 - h * h) / (np.pi * np.abs(1.0 - u * u))
-    outer = np.abs(x) >= 1.0
-    rho[outer] = rho[outer] / (x[outer] * x[outer])
-    return rho
+    return _uninverted(_clamped_sqrt(1.0 - h * h) / (np.pi * np.abs(1.0 - u * u)), x)
 
 
 def real_intensity_closed_grid(alpha, n, x):
@@ -212,12 +220,12 @@ def real_intensity_closed_grid(alpha, n, x):
 def real_intensity_grid(alpha, n, x):
     """Real intensity on a grid, dispatching each point to one of the two routes.
 
-    Points with |1 - x^2| > CLOSED_CUTOFF take the closed form (evaluated at
-    1/x for |x| > 1), the rest the kernel form.  Both routes are folds over
-    one Szegő sweep of all the points: the kernel sums over degrees
-    0..n-1 on the kernel points, then the closed form from the degree-n
-    values of the closed points.  Per-point arithmetic and rescale degrees
-    do not depend on which points share a sweep, so the values are
+    Points with |1 - x^2| > CLOSED_CUTOFF take the closed form, the rest
+    the kernel form; both evaluate at 1/x for |x| > 1.  Both routes are
+    folds over one Szegő sweep of all the points: the kernel sums over
+    degrees 0..n-1 on the kernel points, then the closed form from the
+    degree-n values of the closed points.  Per-point arithmetic and rescale
+    degrees do not depend on which points share a sweep, so the values are
     bit-identical to real_intensity_closed_grid and real_intensity_kernel_grid
     applied to the two subsets.
     """
@@ -225,21 +233,20 @@ def real_intensity_grid(alpha, n, x):
     if n <= 1:
         return np.zeros(x.shape)
     closed = np.abs(1.0 - x * x) > CLOSED_CUTOFF
-    xc = x[closed]
-    u = _inverted(xc)
-    m = len(u)
+    u = _inverted(x)
+    m = np.count_nonzero(closed)
     # the kernel sums stop at degree n - 1; only the closed form needs n
     a = as_verblunsky(alpha).array(n if m else n - 1)
-    steps = _sweep(a, np.concatenate([u, x[~closed]]))
+    steps = _sweep(a, np.concatenate([u[closed], u[~closed]]))
     out = np.empty(x.shape)
     if m < len(x):
         kernel_steps = ((P[:, m:], None, None if sc is None else sc[m:])
                         for P, S, sc in itertools.islice(steps, n))
-        out[~closed] = _kernel_rho(kernel_steps)
+        out[~closed] = _uninverted(_kernel_rho(kernel_steps), x[~closed])
     if m:
         for P, S, _ in steps:  # on to degree n
             pass
-        out[closed] = _closed_rho(P[:, :m], S[:, :m], xc, u)
+        out[closed] = _closed_rho(P[:, :m], S[:, :m], x[closed], u[closed])
     return out
 
 

@@ -13,11 +13,14 @@ step is five array operations with s = 1/sqrt(1 - a^2): Q = z P,
 Q[1] += P[0], T = a X[::-1] and X = (X - T) s on the pair X = [Q, S] (or
 [S, Q]), all in place in one (3, 2, m) buffer and T.  With a = 0 a step
 is the first two alone: s = 1 and the mixing changes no finite value, so
-the free (Kac) ensemble and Bernstein-Szegő tails skip it.  P alternates
-between two slots, so Q = z P never overwrites its operand: numpy rounds a
-complex product written over a length-1 operand differently than at other
-lengths, so a lone point's bits would differ from its bits in a grid.  The
-product keeps its order, z P: swapped operands round differently too.
+the free (Kac) ensemble and Bernstein-Szegő tails skip it.  On narrow
+grids those two cost a numpy call each, so they take no broadcast and no
+indexing: z is stacked once to P's (2, m) shape, and the rows Q[1] and P[0]
+are views built once per slot.  P alternates between two slots, so
+Q = z P never overwrites its operand: numpy rounds a complex product
+written over a length-1 operand differently than at other lengths, so a
+lone point's bits would differ from its bits in a grid.  The product keeps
+its order, z P: swapped operands round differently too.
 Every element sees the arithmetic of four separate updates (phi + z phi'
 only becomes z phi' + phi).
 
@@ -221,7 +224,10 @@ def _sweep(a, z):
     B = np.zeros((3, 2) + z.shape, dtype=z.dtype)
     B[:2, 0] = 1.0
     T = np.empty_like(B[:2])
-    layouts = ((B[0], B[2], B[1:], B[:0:-1]), (B[2], B[0], B[:2], B[1::-1]))
+    # per parity: P, Q, the pair X and its reverse, and the rows Q[1], P[0]
+    layouts = [(P, Q, X, Xr, Q[1], P[0]) for P, Q, X, Xr in
+               ((B[0], B[2], B[1:], B[:0:-1]), (B[2], B[0], B[:2], B[1::-1]))]
+    zz = np.stack([z, z])  # z to P's shape: Q = z P multiplies like shapes
     s = 1.0 / np.sqrt(1.0 - a * a)
     # prefix sums over degrees 0..k of log2 bounds per step: the growth of
     # the four-max, which also bounds the shrink of max(|phi|, |phi^*|), and
@@ -237,9 +243,9 @@ def _sweep(a, z):
     S = B[1]
     yield B[0], S, None
     for k, (ak, s) in enumerate(zip(a.tolist(), s.tolist()), 1):
-        P, Q, X, Xr = layouts[k % 2 == 0]  # Q ends as the new P
-        np.multiply(z, P, out=Q)
-        Q[1] += P[0]
+        P, Q, X, Xr, Q1, P0 = layouts[k % 2 == 0]  # Q ends as the new P
+        np.multiply(zz, P, out=Q)
+        np.add(Q1, P0, out=Q1)
         if ak:  # with a = 0, s = 1 and the mixing changes no finite value
             np.multiply(ak, Xr, out=T)
             X -= T

@@ -477,15 +477,17 @@ def test_kernel_route_does_not_depend_on_the_grid():
     near = [-1.0, 1.0 - 1e-4, -(1.0 - 1e-4), 0.9996, -0.9996, 1.0004, -1.0004,
             1.0 - 1e-9, -(1.0 - 1e-9)]
     x = np.concatenate([near, [1.0], np.linspace(-2.0, 2.0, 17)])
-    cases = [(VerblunskySequence(values=_large_alphas(600, 16)), 600, x),
-             # a Bernstein-Szego tail: 400 zero coefficients after 200 large ones
-             (VerblunskySequence(values=np.concatenate([_large_alphas(200, 16),
-                                                        np.zeros(400)])), 600, x),
+    large = _large_alphas(600, 16)
+    cases = [(VerblunskySequence(values=large), 600, x),
+             # a Bernstein-Szego tail: 150 zero coefficients after 450 large
+             # ones, long enough for points in [-1, 1] to rescale
+             (VerblunskySequence(values=np.concatenate([large[:450], np.zeros(150)])), 600, x),
              # phi and phi^* vanish at x = 1 near degree 839, so 1 itself raises
              (materialize(constant(0.5), 2000), 2000, np.array(near + [0.5, -2.0, 3.0]))]
     for al, n, x in cases:
-        # some point rescales inside a block, not at its first degree
-        events = [k for k, (_, sc) in enumerate(_oracle_sweep(al.array(n - 1), x))
+        # some point the route sweeps (1/x past +-1) rescales inside a
+        # block, not at its first degree
+        events = [k for k, (_, sc) in enumerate(_oracle_sweep(al.array(n - 1), _inverted(x)))
                   if sc is not None]
         assert any(k % _BLOCK for k in events)
         wide = real_intensity_kernel_grid(al, n, x)
@@ -497,3 +499,66 @@ def test_kernel_route_does_not_depend_on_the_grid():
             if kernel[i]:
                 assert _same_bytes(fused[i:i + 1], alone)
             assert _same_bytes(fused[i:i + 1], real_intensity_grid(al, n, [xi]))
+
+
+def test_kernel_route_past_one_rescales_rarely(monkeypatch):
+    # past +-1 the values grow geometrically: swept at x itself this grid
+    # needs a range check at 2619 of its 4095 steps; at 1/x the growth
+    # bound spaces the checks out
+    calls = []
+    check = szego._rescale
+
+    def counting(P, S):
+        calls.append(1)
+        return check(P, S)
+
+    monkeypatch.setattr(szego, "_rescale", counting)
+    real_intensity_kernel_grid(materialize(free(), 4096), 4096, np.linspace(-2.0, 2.0, 401))
+    assert 0 < len(calls) <= 64
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+@pytest.mark.parametrize("spec", [free(), power_decay(0.3, 2)],
+                         ids=["free", "power_decay(0.3, 2)"])
+def test_kernel_route_past_one_matches_the_direct_sweep(spec, n):
+    # rho(x) = rho(1/x)/x^2 agrees with the kernel sums swept at x itself
+    al = materialize(spec, n)
+    x = np.linspace(-2.0, 2.0, 401)
+    direct = _kernel_rho(szego._sweep(al.array(n - 1), x))
+    got = real_intensity_kernel_grid(al, n, x)
+    assert np.max(np.abs(got - direct) / direct) <= 1e-11
+
+
+@pytest.mark.parametrize("tail", [False, True], ids=["full", "zero_tail"])
+@pytest.mark.parametrize("dtype", ["real", "complex"])
+def test_sweep_does_not_depend_on_the_grid_width(dtype, tail):
+    # numpy's loops take a vector body and a scalar remainder whose lengths
+    # depend on the row width; z stacked to P's shape makes the product run
+    # over 2m elements, not m twice.  Each point's evaluate fields and kernel
+    # sums, swept alone, equal its bytes inside grids of every remainder
+    # width, at its first and last 17 positions
+    n = 300
+    rng = np.random.default_rng(43)
+    a = _large_alphas(n, 43)
+    if tail:
+        a[n // 3:] = 0.0
+    al = VerblunskySequence(values=a)
+    if dtype == "real":
+        pool = rng.uniform(-2.0, 2.0, 4001)
+    else:
+        r, t = np.sqrt(rng.uniform(0, 1, 4001)), rng.uniform(-np.pi, np.pi, 4001)
+        pool = 2.0 * r * np.exp(1j * t)
+    fields = ("phi", "phi_star", "dphi", "dphi_star", "log_scale")
+    sums = ("k_zz", "k_zzbar", "k10_zz", "k10_zzbar", "k11_zz", "log_scale")
+    alone = {}
+    for w in (1, 2, 3, 7, 8, 9, 16, 17, 4001):
+        z = pool[:w]
+        ev, b = evaluate(al, n, z), kernel_bundle(al, n + 1, z)
+        for i in sorted(set(range(min(w, 17))) | set(range(max(w - 17, 0), w))):
+            if i not in alone:
+                alone[i] = evaluate(al, n, z[i:i + 1]), kernel_bundle(al, n + 1, z[i:i + 1])
+            one, b1 = alone[i]
+            assert all(_same_bytes(getattr(one, f), getattr(ev, f)[i:i + 1]) for f in fields)
+            assert all(_same_bytes(getattr(b1, f), getattr(b, f)[i:i + 1]) for f in sums)
+    # the grids reach values that rescale
+    assert np.any(ev.log_scale != 0.0)

@@ -1,0 +1,79 @@
+"""Print ns per point-step of a bare Szegő sweep, the sweep layer's cost.
+
+    python3 tools/sweep_ns.py
+    python3 tools/sweep_ns.py --root ../other-checkout
+    python3 tools/sweep_ns.py --quick
+
+Each case runs ``szego._sweep`` over n = 1024 degrees at a fixed grid and
+discards the steps, so the time is the recurrence and its range checks
+alone, with no fold.  The cases are the free (Kac) ensemble, whose steps
+skip the mixing, and ``power_decay(0.3, 2)``, whose steps do all of it, at
+1, 33, 957 and 4001 real points in (-1, 1) and at 800 and 7000 complex
+points in the unit disk.  A run repeats the sweep up to ``MAX_REPS`` times,
+until it has made about ``BUDGET`` point-steps; a case's figure is the
+median over ``RUNS`` runs, and the runs of all cases interleave, so drift
+of the host spreads over every case alike.  ``--root`` names the checkout
+whose ``src/`` is imported (default: the one holding this script), so two
+checkouts are compared with the same harness; ``--quick`` makes one sweep
+per case, a smoke test of the harness, not a measurement.  BLAS and the
+library run on one thread, with the benchmark workers' ``run.THREAD_ENV``.
+"""
+
+import argparse
+import collections
+import os
+import statistics
+import sys
+import time
+
+DEGREES = 1024
+BUDGET, MAX_REPS, RUNS = 2_000_000, 40, 9
+CASES = [(ens, kind, m) for ens in ("free", "power_decay(0.3, 2)")
+         for kind, m in (("real", 1), ("real", 33), ("real", 957), ("real", 4001),
+                         ("complex", 800), ("complex", 7000))]
+
+
+def _grid(np, kind, m):
+    if kind == "real":
+        return np.linspace(-0.99, 0.99, m) if m > 1 else np.array([0.5])
+    k = np.arange(m)
+    # points spread over the disk on a spiral, none on the real line
+    return np.sqrt((k + 0.5) / m) * np.exp(2.4j * (k + 0.5))
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   help="checkout whose src/ is imported")
+    p.add_argument("--quick", action="store_true", help="one short run per case")
+    args = p.parse_args(argv)
+    runs, max_reps = (1, 1) if args.quick else (RUNS, MAX_REPS)
+    root = os.path.abspath(args.root)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
+    import run  # the worker's thread settings, applied before numpy loads
+    os.environ.update(run.THREAD_ENV)
+    import numpy as np
+    from opuczeros import szego
+    from opuczeros.ensembles import free, materialize, power_decay
+
+    alphas = {"free": materialize(free(), DEGREES).array(DEGREES),
+              "power_decay(0.3, 2)": materialize(power_decay(0.3, 2), DEGREES).array(DEGREES)}
+    times = collections.defaultdict(list)
+    for _ in range(runs):
+        for ens, kind, m in CASES:
+            a, z = alphas[ens], _grid(np, kind, m)
+            reps = min(max_reps, max(1, BUDGET // (DEGREES * m)))
+            t0 = time.perf_counter()
+            for _ in range(reps):
+                collections.deque(szego._sweep(a, z), maxlen=0)
+            times[ens, kind, m].append((time.perf_counter() - t0) / (reps * DEGREES * m))
+    print("%-20s %-8s %6s %10s" % ("ensemble", "dtype", "points", "ns/pt-step"))
+    for ens, kind, m in CASES:
+        ns = 1e9 * statistics.median(times[ens, kind, m])
+        print("%-20s %-8s %6d %10.2f" % (ens, kind, m, ns))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
