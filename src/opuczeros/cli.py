@@ -324,8 +324,9 @@ def main(argv=None):
     try:
         args = _resolve_flags(args)
         args.func(args)
+    # MemoryError: a degree too large for an array of its length
     except (InvalidCoefficientError, OutOfDomainError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, MemoryError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except (QuadratureError, RootFindingError, OpuczError) as exc:

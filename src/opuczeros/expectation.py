@@ -1,7 +1,7 @@
 """Expected zero counts by quadrature.
 
-The whole-line real count reduces to 2 * integral over (-1, 1) of the real
-intensity through the inversion symmetry rho(1/x) = x^2 rho(x).
+Real counts fold every region into (-1, 1) through the inversion symmetry
+rho(1/x) = x^2 rho(x): the whole line is 2 * the integral over (-1, 1).
 
 Complex counts over annular sectors and near-circle scaling windows leave
 out a guard band of the fixed angle GUARD_THETA around the real axis: real
@@ -120,41 +120,66 @@ def _graded_splits(n):
     """Initial split points in (0, 1) for the real-line solves.
 
     The real intensity follows 1/(pi (1 - x^2)) between distance 1/n and
-    distance 1 from x = +-1, so each dyadic shell 1 - 2^-(k-1) < x < 1 - 2^-k
-    carries about the same count, ln 2/(2 pi): splits at 1 - 2^-k for
-    k = 1..ceil(log2 n), then 1 - 1/n and 1 - 0.1/n inside the edge layer.
+    distance 1 from x = +-1, so each shell 1 - 4^-(k-1) < x < 1 - 4^-k
+    carries about the same count, ln 4/(2 pi): splits at 1 - 4^-k for
+    k = 1..ceil(log4 n), then 1 - 1/n and 1 - 0.1/n inside the edge layer.
+    The singularity at x = 1 lies 5/3 half-widths from the middle of a shell
+    [1 - 4e, 1 - e], so the Bernstein ellipse through it has rho = 3 and
+    G16's error is about 3^-32 of the shell's share (factor 8: about 6e-11).
     """
-    depth = (n - 1).bit_length()
-    return sorted({*(1.0 - 2.0 ** -k for k in range(1, depth + 1)),
+    depth = ((n - 1).bit_length() + 1) // 2
+    return sorted({*(1.0 - 4.0 ** -k for k in range(1, depth + 1)),
                    1.0 - 1.0 / n, 1.0 - 0.1 / n})
+
+
+def _folded(a, b):
+    """Pieces of [-1, 1] covering [a, b] folded by x -> 1/x: edges and weights.
+
+    rho(1/x) = x^2 rho(x) for real coefficients, so the count over [c, d]
+    past +-1 is the count over [1/d, 1/c]; each piece counts 0, 1 or 2
+    times.  The pieces that count are contiguous; equal neighbours merge.
+    """
+    cuts = sorted({-1.0, 0.0, 1.0, *(t for t in (a, b) if abs(t) < 1.0),
+                   *(1.0 / t for t in (a, b) if abs(t) > 1.0)})
+    edges, weights = [], []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        m = 0.5 * (lo + hi)
+        w = (a <= m <= b) + (a <= 1.0 / m <= b)
+        if w and weights and weights[-1] == w:
+            edges[-1] = hi
+        elif w:
+            edges += [hi] if edges else [lo, hi]
+            weights.append(w)
+    return edges, weights
 
 
 def expected_real_zeros(alpha, n, region=WholeRealLine(), tol=1e-9):
     """Expected number of real zeros of P_n over the region.
 
-    The adaptive solve starts from a mesh graded toward x = +-1 (and, for an
-    interval reaching past them, toward +-1 from outside through the
-    inversion x -> 1/x), so typical ensembles converge in the first round:
-    one integrand call, one Szegő sweep.  The stated error is at least the
+    The region is folded into [-1, 1] by x -> 1/x (_folded): the whole line
+    is (-1, 1) counted twice.  The adaptive solve starts from a mesh graded
+    toward +-1, so typical ensembles converge in the first round: one
+    integrand call, one Szegő sweep.  The stated error is at least the
     rounding floor (_rounding_floor).
     """
     _check_degree(n)
     seq = as_verblunsky(alpha)
-
-    def f(x):
-        return real_intensity_grid(seq, n, x)
-
     if isinstance(region, WholeRealLine):
-        # rho(1/x) = x^2 rho(x): the count beyond +-1 equals the count inside
-        a, b, scale = -1.0, 1.0, 2.0
-    elif isinstance(region, RealInterval):
-        a, b, scale = region.a, region.b, 1.0
-    else:
+        region = RealInterval(-math.inf, math.inf)
+    elif not isinstance(region, RealInterval):
         raise OutOfDomainError("unsupported region for real-zero counting")
-    inner = _graded_splits(n)
-    marks = [1.0, *inner, *(1.0 / s for s in inner if s > 0.0)]
-    val, err = adaptive_gl(f, a, b, tol=tol,
-                           splits=[t * s for s in marks for t in (-1.0, 1.0)])
+    edges, weights = _folded(region.a, region.b)
+    if not weights:  # the image of [a, b] under 1/x is no wider than a float
+        return QuadResult(0.0, 0.0, None)
+    # a lone piece integrates rho itself, scaled by its weight afterwards
+    scale, w = (weights[0], None) if len(weights) == 1 else (1, np.array(weights, float))
+
+    def f(u):
+        rho = real_intensity_grid(seq, n, u)
+        return rho if w is None else rho * w[np.searchsorted(edges, u) - 1]
+
+    marks = [*edges, *(t * s for s in _graded_splits(n) for t in (-1.0, 1.0))]
+    val, err = adaptive_gl(f, edges[0], edges[-1], tol=tol, splits=marks)
     return QuadResult(*_rounding_floor(scale * val, scale * err, 0.0), None)
 
 

@@ -225,6 +225,14 @@ def test_input_error_exit_code(capsys):
         assert err.startswith("input error: ") and err.count("\n") == 1, (argv, err)
 
 
+def test_degree_too_large_to_allocate_is_input_error(capsys):
+    # 10^13 coefficients are 80 TB: numpy refuses the array outright, so
+    # nothing is allocated, and the MemoryError is reported in one line
+    assert main(["expected-zeros", "--n", str(10 ** 13)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+
+
 def test_tolerance_from_config_file_is_checked(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tolerance": "x"}))

@@ -9,7 +9,7 @@ from opuczeros import (AnnularSector, OutOfDomainError, RealInterval,
                        expected_real_zeros, growth_log_derivative,
                        total_complex_zeros)
 from opuczeros import expectation, intensity, kernels, szego
-from opuczeros.ensembles import materialize, power_decay
+from opuczeros.ensembles import constant, materialize, parse_ensemble, power_decay
 
 
 def free_seq():
@@ -178,9 +178,9 @@ def _kac_count(n):
         return float(4 * mpmath.quad(rho, pts, method="gauss-legendre"))
 
 
-def test_real_line_solve_is_one_round(monkeypatch):
-    # the graded mesh settles free n = 4096 in its first round, and each
-    # integrand call is one Szegő sweep
+@pytest.fixture
+def real_solve_calls(monkeypatch):
+    """Points of each integrand call of the real-count solves, one Szegő sweep each."""
     sweeps, calls = [], []
     sweep, grid = szego._sweep, expectation.real_intensity_grid
 
@@ -188,18 +188,95 @@ def test_real_line_solve_is_one_round(monkeypatch):
         sweeps.append(1)
         return sweep(*args)
 
-    def counting_grid(*args):
-        calls.append(1)
-        return grid(*args)
+    def counting_grid(alpha, n, x):
+        before = len(sweeps)
+        rho = grid(alpha, n, x)
+        assert len(sweeps) == before + 1
+        calls.append(len(x))
+        return rho
 
     for module in (szego, intensity, kernels):
         monkeypatch.setattr(module, "_sweep", counting_sweep)
     monkeypatch.setattr(expectation, "real_intensity_grid", counting_grid)
-    tol = 1e-6
-    res = expected_real_zeros(free_seq(), 4096, tol=tol)
-    assert (len(calls), len(sweeps)) == (1, 1)
-    assert abs(res.value - _kac_count(4096)) <= tol * res.value
-    # an interval reaching past x = 1 is graded from both sides
-    res = expected_real_zeros(free_seq(), 4096, RealInterval(0.5, 2.0), tol=tol)
-    assert 0.0 < res.value < 4095 and res.error <= tol * res.value
-    assert len(calls) == 2
+    return calls
+
+
+# most integrand points of a whole-line solve: 33 per panel, the panels cut
+# at +-(1 - 4^-k) for k = 1..ceil(log4 n), +-(1 - 1/n) and +-(1 - 0.1/n)
+MESH_POINTS = {64: 297, 256: 363, 1024: 429, 4096: 495, 65536: 627}
+
+
+def test_real_line_solve_is_one_round(real_solve_calls):
+    # the graded mesh settles the free ensemble in its first round: one
+    # integrand call, one Szegő sweep
+    for tol in (1e-6, 1e-9):
+        for n, most in MESH_POINTS.items():
+            res = expected_real_zeros(free_seq(), n, tol=tol)
+            assert len(real_solve_calls) == 1 and real_solve_calls[0] <= most, (n, tol)
+            assert res.error <= tol * res.value
+            if n == 4096:
+                assert abs(res.value - _kac_count(4096)) <= tol * res.value
+            real_solve_calls.clear()
+        # an interval reaching past x = 1 folds into one piece graded toward 1
+        res = expected_real_zeros(free_seq(), 4096, RealInterval(0.5, 2.0), tol=tol)
+        assert 0.0 < res.value < 4095 and res.error <= tol * res.value
+        assert len(real_solve_calls) == 1
+        real_solve_calls.clear()
+
+
+# perfbench/references.json real/<ensemble>/1024, 200-bit Szegő sweeps
+GAPLESS_REFERENCES = [("power_decay:0.3:2", 5.041459639222816),
+                      ("geronimus:power_decay:0.3:2:0.5", 5.575706539349305)]
+
+
+@pytest.mark.parametrize("label, ref", GAPLESS_REFERENCES)
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_decaying_ensembles_count_in_one_round(real_solve_calls, label, ref, tol):
+    res = expected_real_zeros(materialize(parse_ensemble(label), 1024), 1024, tol=tol)
+    assert real_solve_calls == [MESH_POINTS[1024]]
+    assert abs(res.value - ref) <= res.error <= tol * res.value
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_gapped_ensemble_counts_in_one_round(real_solve_calls, n, tol):
+    # constant(-0.5) has a gap around z = 1 but no mass point; it has no
+    # 200-bit reference, so its own tol-1e-11 solve serves
+    alpha = materialize(constant(-0.5), n)
+    res = expected_real_zeros(alpha, n, tol=tol)
+    assert real_solve_calls == [MESH_POINTS[n]]
+    fine = expected_real_zeros(alpha, n, tol=1e-11)
+    assert abs(res.value - fine.value) <= res.error <= tol * res.value
+
+
+@pytest.mark.parametrize("far", [1e3, 1e12, 1e15, 1e300, math.inf])
+def test_interval_past_one_folds_in_by_inversion(far):
+    # rho(1/x) = x^2 rho(x): the count over [1, X] is the count over [1/X, 1];
+    # the free density is even too, so [1, inf) holds a quarter of the line
+    tol = 1e-9
+    res = expected_real_zeros(free_seq(), 64, RealInterval(1.0, far), tol=tol)
+    inner = expected_real_zeros(free_seq(), 64, RealInterval(1.0 / far, 1.0), tol=tol)
+    assert abs(res.value - inner.value) <= tol * inner.value
+    assert res.error <= tol * res.value
+    if far >= 1e12:
+        quarter = expected_real_zeros(free_seq(), 64, tol=tol).value / 4.0
+        assert abs(res.value - quarter) <= tol * quarter
+
+
+def test_unbounded_interval_is_the_whole_line():
+    for alpha, n in ((free_seq(), 64), (materialize(power_decay(0.3, 2), 256), 256)):
+        assert (expected_real_zeros(alpha, n, RealInterval(-math.inf, math.inf))
+                == expected_real_zeros(alpha, n))
+
+
+def test_interval_counts_add_up_across_the_fold():
+    # pieces beyond +-1 fold onto (-1, 1) with weight 0, 1 or 2
+    alpha = materialize(power_decay(0.3, 2), 64)
+    cuts = [-math.inf, -3.0, -0.5, 0.7, 2.0, math.inf]
+    parts = [expected_real_zeros(alpha, 64, RealInterval(a, b), tol=1e-11)
+             for a, b in zip(cuts[:-1], cuts[1:])]
+    whole = expected_real_zeros(alpha, 64, tol=1e-11)
+    total = math.fsum(p.value for p in parts)
+    assert abs(total - whole.value) <= whole.error + math.fsum(p.error for p in parts)
+    # an interval whose image under 1/x is no wider than one float counts 0
+    assert expected_real_zeros(alpha, 64, RealInterval(7.3, math.nextafter(7.3, 8.0))).value == 0.0

@@ -73,6 +73,19 @@ def test_inversion_symmetry():
         assert abs(lhs - rhs) <= 1e-10 * max(rhs, 1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("route", [real_intensity_grid, real_intensity_kernel_grid,
+                                   real_intensity_closed_grid])
+def test_real_intensity_far_past_one_is_zero_without_warnings(route):
+    # x^2 overflows past 1.3e154; rho(x) = rho(1/x)/x^2 is then 0, and the
+    # finite values sharing the grid keep their bits
+    far = [-1e308, -1e200, 1e200, 1e308]
+    for al, n in ((free(), 64), (materialize(power_decay(0.3, 2), 64), 64)):
+        rho = route(al, n, [*far, 2.0, -3.0])
+        assert np.all(rho[:4] == 0.0)
+        assert np.array_equal(rho[4:], route(al, n, [2.0, -3.0]))
+
+
 def test_real_route_agreement():
     rng = np.random.default_rng(21)
     for trial in range(120):
