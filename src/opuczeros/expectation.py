@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import adaptive_gl, adaptive_gl_2d
-from .errors import OutOfDomainError
+from .errors import OutOfDomainError, QuadratureError
 from .intensity import (complex_intensity_grid, growth_log_derivative,
                         log_derivative_grid, log_derivative_pair_grid,
                         real_intensity_grid)
@@ -111,9 +111,13 @@ class ScalingWindow:
         return r1, 1.0 + self.tau2 / (2.0 * n)
 
 
-def _check_degree(n):
+def _check_request(n, tol):
+    """Reject a degree below 1, and a tol no stated error can meet (_rounding_floor)."""
     if n < 1:
         raise OutOfDomainError("expected zero counts need n >= 1, got %d" % n)
+    if 0.0 < tol < _ROUNDING:  # _quad rejects a tol <= 0 as bad input
+        raise QuadratureError("tolerance %g is below the rounding floor %g of a stated "
+                              "count error; no solve can meet it" % (tol, _ROUNDING))
 
 
 def _graded_splits(n):
@@ -160,9 +164,10 @@ def expected_real_zeros(alpha, n, region=WholeRealLine(), tol=1e-9):
     is (-1, 1) counted twice.  The adaptive solve starts from a mesh graded
     toward +-1, so typical ensembles converge in the first round: one
     integrand call, one Szegő sweep.  The stated error is at least the
-    rounding floor (_rounding_floor).
+    rounding floor (_rounding_floor), so a tol below _ROUNDING raises
+    QuadratureError at once, as in the complex counts.
     """
-    _check_degree(n)
+    _check_request(n, tol)
     seq = as_verblunsky(alpha)
     if isinstance(region, WholeRealLine):
         region = RealInterval(-math.inf, math.inf)
@@ -327,7 +332,7 @@ def expected_complex_zeros(alpha, n, region, tol=1e-6):
     error bounds the whole region.  For a scaling window the asymptotic
     prediction n * |S|/(2 pi) * (H'/H(tau2) - H'/H(tau1)) comes alongside.
     """
-    _check_degree(n)
+    _check_request(n, tol)
     if not isinstance(region, (AnnularSector, ScalingWindow)):
         raise OutOfDomainError("unsupported region for complex-zero counting")
     r1, r2 = region.radii(n)
@@ -363,7 +368,7 @@ def total_complex_zeros(alpha, n, tol=1e-4):
     (log_derivative_pair_grid).  The tolerance applies to the integral,
     whose size is about that of the real count.
     """
-    _check_degree(n)
+    _check_request(n, tol)
     if n == 1:
         return QuadResult(0.0, 0.0, None)
     seq = as_verblunsky(alpha)

@@ -5,7 +5,8 @@ and closed Blaschke form); the complex intensity likewise (three-term kernel
 formula and the sigma-decomposition).  Routes agree to near machine accuracy
 away from their respective degeneracies and tests enforce this.  The kernel
 route and E[P'/P] are term functions folded over one Szegő sweep by
-``szego._fold``, which owns the rescale mirroring.
+``szego._fold``, which owns the rescale mirroring.  Where the coefficients
+end in zeros, both real routes stop the sweep there (``_zero_tail``).
 """
 
 import itertools
@@ -129,8 +130,8 @@ def _merge(k, mu, r, rows):
     return k_new, mu + d, r + k * (d * d) + _block_sum(e * e)
 
 
-def _kernel_rho(steps):
-    """Kernel-form real intensity sqrt(R/K)/pi folded over real sweep steps.
+def _kernel_fold(steps):
+    """The kernel route's regression state (K, mu, R) folded over real sweep steps.
 
     K = K_n(x, x) is the sum of squares of phi and R = K^(1,1) - (K^(1,0))^2/K
     the residual of phi' regressed on phi, a sum of nonnegative terms.
@@ -151,32 +152,70 @@ def _kernel_rho(steps):
             return k, mu, r, rows, j + 1
         return _merge(k, mu, r, rows) + (rows, 0)
 
-    # where K underflows to 0, the merge divides by 0; that raises below
+    # where K underflows to 0, the merge divides by 0; _real_rho raises
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         (k, mu, r, rows, j), _ = _fold(steps, add, (0.0, 0.0, 0.0, None, 0),
                                        (2, 0, 2, 1, 0))
         if j:
             rows[j:] = 0.0
-            k, _, r = _merge(k, mu, r, rows)
-    if not np.all((k > 0.0) & np.isfinite(r)):
-        raise OutOfDomainError("K_n(x, x) underflowed against K_n^(1,1)(x, x) "
-                               "at the requested point; too close to x = +-1 "
-                               "for this n")
-    return np.sqrt(r / k) / np.pi
+            k, mu, r = _merge(k, mu, r, rows)
+    return k, mu, r
+
+
+def _tail_start(a, n):
+    """K, the index after the last nonzero of a, if N = n - K >= 2 zeros follow; else n."""
+    k = int(np.flatnonzero(a)[-1]) + 1 if np.any(a) else 0
+    return k if k <= n - 2 else n
+
+
+# (sinh y - y)/y^3 and (y cosh y - sinh y)/y^3 in y^2, to eps for y <= 1.5
+_SINH_SERIES = np.array([1.0 / math.factorial(2 * j + 3) for j in range(10, -1, -1)])
+_COSH_SERIES = _SINH_SERIES * np.arange(22.0, 0.0, -2.0)
+
+
+def _zero_tail(k, mu, r, P, sc, u, n):
+    """K and R of the kernel state (K, mu, R) after n zero coefficients.
+
+    P = [phi_K, phi_K'] is the sweep's step of degree K, sc its rescale.  The
+    rows u^i [phi_K, i phi_K/u + phi_K'], i < n, weigh t^i = e^-ci; with
+    S0 = sum t^i and E, V the mean and variance of i, _merge's update gives
+    K' = K + phi_K^2 S0, R' = R + phi_K^2 S0 V/t + K S0 d^2/K' with
+    d = phi_K (E/u - mu) + phi_K': nonnegative terms, no division by phi_K.
+    For n c > 3 the truncated geometric law's direct forms lose at most two
+    bits; else y = c/2, Y = n y <= 1.5 and the series of g = coth y - 1/y and
+    f = sinh^-2 y - y^-2 give 2E = g(y) - n g(Y) + n - 1, 4V = f(y) - n^2 f(Y).
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c = -2.0 * np.log1p(np.abs(u) - 1.0)  # |u| - 1 is exact near |u| = 1
+        a, b, p = -np.expm1(-c), -np.expm1(-n * c), np.exp(-(n - 1) * c)
+        s0, e_t, v_t = b / a, 1.0 / a - n * p / b, 1.0 / (a * a) - n * n * p / (b * b)
+        near = n * c <= 3.0
+        y = 0.5 * c[near] * np.array([[1.0], [n]])  # y and Y
+        w = y * y
+        s, q = np.polyval(_SINH_SERIES, w), np.polyval(_COSH_SERIES, w)
+        sinhc = 1.0 + w * s  # sinh(y)/y
+        g, f = y * q / sinhc, -s * (2.0 + w * s) / (sinhc * sinhc)
+        s0[near] = n * np.exp(-(n - 1) * y[0]) * sinhc[1] / sinhc[0]
+        e_t[near], v_t[near] = np.array([0.5 * (g[0] - n * g[1] + (n - 1)),
+                                         0.25 * (f[0] - n * n * f[1])]) / (u[near] * u[near])
+        if sc is not None:
+            k, r = k / (sc * sc), r / (sc * sc)
+        kt = P[0] * P[0] * s0
+        d = P[0] * (u * e_t - mu) + P[1]
+        return k + kt, r + kt * v_t + s0 * d * d * (k / (k + kt))
 
 
 def real_intensity_kernel_grid(alpha, n, x):
     """Kernel-form real intensity on a grid, valid at x = +-1 too.
 
     sqrt(K K^(1,1) - (K^(1,0))^2)/(pi K) from the CD kernel sums over
-    degrees 0..n-1, accumulated as in _kernel_rho, at u = _inverted(x).
-    Raises OutOfDomainError where K_n(x, x) underflows against
-    K_n^(1,1)(x, x) (x = 1 for constant(0.5) from n = 840).
+    degrees 0..n-1 at u = _inverted(x), folded as in _kernel_fold, with a
+    zero tail in closed form (_zero_tail).  Raises OutOfDomainError where
+    K_n(x, x) underflows against K_n^(1,1)(x, x) (x = 1 for constant(0.5)
+    from n = 840).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if n <= 1:
-        return np.zeros(x.shape)
-    return _uninverted(_kernel_rho(_sweep(as_verblunsky(alpha).array(n - 1), _inverted(x))), x)
+    return _real_rho(alpha, n, x, np.zeros(x.shape, dtype=bool))
 
 
 def _inverted(x):
@@ -226,30 +265,52 @@ def real_intensity_grid(alpha, n, x):
     the kernel form; both evaluate at 1/x for |x| > 1.  Both routes are
     folds over one Szegő sweep of all the points: the kernel sums over
     degrees 0..n-1 on the kernel points, then the closed form from the
-    degree-n values of the closed points.  Per-point arithmetic and rescale
-    degrees do not depend on which points share a sweep, so the values are
-    bit-identical to real_intensity_closed_grid and real_intensity_kernel_grid
-    applied to the two subsets.
+    degree-n values of the closed points; where the coefficients a route
+    reads end in N >= 2 zeros from index K on, only to degree K, with the
+    tail in closed form (_zero_tail; phi_n = u^N phi_K).  Per-point
+    arithmetic and rescale degrees do not depend on which points share a
+    sweep, so the values are bit-identical to real_intensity_closed_grid and
+    real_intensity_kernel_grid applied to the two subsets.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if n <= 1:
-        return np.zeros(x.shape)
     with np.errstate(over="ignore"):  # x^2 = inf takes the closed route
         closed = np.abs(1.0 - x * x) > CLOSED_CUTOFF
+    return _real_rho(alpha, n, x, closed)
+
+
+def _real_rho(alpha, n, x, closed):
+    """The closed form at x[closed] and the kernel form at the rest, from one sweep."""
+    if n <= 1:
+        return np.zeros(x.shape)
     u = _inverted(x)
     m = np.count_nonzero(closed)
     # the kernel sums stop at degree n - 1; only the closed form needs n
     a = as_verblunsky(alpha).array(n if m else n - 1)
-    steps = _sweep(a, np.concatenate([u[closed], u[~closed]]))
+    kk = _tail_start(a[:n - 1], n)
+    kc = _tail_start(a, n) if m else kk  # kc >= kk: the closed points sweep on
+    steps = _sweep(a[:kc], np.concatenate([u[closed], u[~closed]]))
     out = np.empty(x.shape)
     if m < len(x):
-        kernel_steps = ((P[:, m:], None, None if sc is None else sc[m:])
-                        for P, S, sc in itertools.islice(steps, n))
-        out[~closed] = _uninverted(_kernel_rho(kernel_steps), x[~closed])
+        k = mu = r = 0.0
+        if kk:
+            k, mu, r = _kernel_fold((P[:, m:], None, None if sc is None else sc[m:])
+                                    for P, S, sc in itertools.islice(steps, kk))
+        if kk < n:  # degree K, where the zero tail starts
+            P, S, sc = next(steps)
+            k, r = _zero_tail(k, mu, r, P[:, m:], None if sc is None else sc[m:],
+                              u[~closed], n - kk)
+        if not np.all((k > 0.0) & np.isfinite(r)):
+            raise OutOfDomainError("K_n(x, x) underflowed against K_n^(1,1)(x, x) "
+                                   "at the requested point; too close to x = +-1 "
+                                   "for this n")
+        out[~closed] = _uninverted(np.sqrt(r / k) / np.pi, x[~closed])
     if m:
-        for P, S, _ in steps:  # on to degree n
+        for P, S, _ in steps:  # on to degree kc (none left if the kernel took it)
             pass
-        out[closed] = _closed_rho(P[:, :m], S[:, :m], x[closed], u[closed])
+        (phi, dphi), v = P[:, :m], u[closed]
+        if kc < n:  # phi_n = v^N phi_K; phi^*_n = phi^*_K
+            phi, dphi = v ** (n - kc) * phi, v ** (n - kc - 1) * ((n - kc) * phi + v * dphi)
+        out[closed] = _closed_rho((phi, dphi), S[:, :m], x[closed], v)
     return out
 
 

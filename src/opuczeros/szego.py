@@ -27,7 +27,7 @@ only becomes z phi' + phi).
 A fold divides each accumulator by sc^p at a rescale, where p is its power
 in the sweep values: sums of squares p = 2, stored rows p = 1 (the real
 kernel route keeps the rows of a block of degrees and merges them at once,
-see ``intensity._kernel_rho``), ratios p = 0.  The kernel sums and
+see ``intensity._kernel_fold``), ratios p = 0.  The kernel sums and
 ``evaluate`` add one degree at a time, bit-identical to a per-step
 reference; E[P'/P] also folds one degree at a time, but derives two of its
 sums (see ``intensity._contour_sums``).

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from opuczeros import (AnnularSector, OutOfDomainError, RealInterval,
-                       ScalingWindow, VerblunskySequence,
+from opuczeros import (AnnularSector, OutOfDomainError, QuadratureError,
+                       RealInterval, ScalingWindow, VerblunskySequence,
                        conservation_check, expected_complex_zeros,
                        expected_real_zeros, growth_log_derivative,
                        total_complex_zeros)
 from opuczeros import expectation, intensity, kernels, szego
-from opuczeros.ensembles import constant, materialize, parse_ensemble, power_decay
+from opuczeros.ensembles import (constant, free, materialize, parse_ensemble,
+                                 power_decay)
 
 
 def free_seq():
@@ -129,6 +130,36 @@ def test_degree_one_checks_tolerance():
     for tol in (math.nan, -1.0, 0.0, math.inf):
         with pytest.raises(OutOfDomainError):
             expected_real_zeros(free_seq(), 1, tol=tol)
+
+
+def test_tolerance_below_the_rounding_floor_raises():
+    # no stated error is below 1e-12 |value| (_rounding_floor): at tol 1e-13
+    # free n = 64 stated 3.3e-12, ten times tol |value|, and returned
+    alpha = materialize(free(), 64)
+    solves = (lambda tol: expected_real_zeros(alpha, 64, tol=tol),
+              lambda tol: expected_complex_zeros(alpha, 64, AnnularSector(0.1, 1.0, 0.5),
+                                                 tol=tol),
+              lambda tol: total_complex_zeros(alpha, 64, tol=tol))
+    for solve in solves:
+        with pytest.raises(QuadratureError, match="rounding floor"):
+            solve(1e-13)
+        assert solve(1e-12).value > 0.0
+
+
+# Kac's constant C in E N = (2/pi) ln d + C + 2/(pi d) + O(d^-2), d = n - 1
+# (Edelman & Kostlan, Bull. AMS 32, 1995, Cor. 3.2)
+KAC_C = 0.6257358072
+
+
+def test_free_count_follows_the_kac_expansion():
+    # the zero tail makes a free count cost milliseconds at any n; the
+    # O(d^-2) term is about 2e-9 at n = 2^14 and 2e-12 at n = 2^20
+    for n in (2 ** 14, 2 ** 20):
+        res = expected_real_zeros(materialize(free(), n), n)
+        d = n - 1
+        kac = 2.0 / math.pi * math.log(d) + KAC_C + 2.0 / (math.pi * d)
+        bound = 1e-8 if n == 2 ** 14 else res.error + 1e-11
+        assert abs(res.value - kac) <= bound, n
 
 
 def test_total_complex_zeros_free_small():

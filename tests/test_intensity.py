@@ -337,3 +337,63 @@ def test_kernel_route_near_a_spike_matches_high_precision():
                                   (q - a * dps) * s, (dps - a * q) * s)
             want = float(mpmath.sqrt(k * k11 - k10 * k10) / (mpmath.pi * k))
             assert abs(g - want) <= 1e-6 * want
+
+
+def _mp_rho(mpmath, a, n, x):
+    """The real intensity at x from 60-digit kernel sums over degrees 0..n-1."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(x)
+        p, ps, dp, dps = mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+        k = k10 = k11 = 0
+        for i in range(n):
+            k, k10, k11 = k + p * p, k10 + p * dp, k11 + dp * dp
+            xp, q = x * p, p + x * dp
+            if i < n - 1 and a[i]:
+                c = mpmath.mpf(float(a[i]))
+                s = 1 / mpmath.sqrt(1 - c * c)
+                p, ps, dp, dps = ((xp - c * ps) * s, (ps - c * xp) * s,
+                                  (q - c * dps) * s, (dps - c * q) * s)
+            else:
+                p, dp = xp, q
+        return mpmath.sqrt(k * k11 - k10 * k10) / (mpmath.pi * k)
+
+
+def _head_and_tail(n, head):
+    """head coefficients with |alpha_k| <= 0.5/sqrt(k + 1), the last 0.3, then zeros."""
+    a = np.zeros(n)
+    rng = np.random.default_rng(head)
+    a[:head] = rng.uniform(-0.5, 0.5, head) / np.sqrt(np.arange(head) + 1.0)
+    a[head - 1:head] = 0.3
+    return a
+
+
+@pytest.mark.parametrize("n, head", [(2, 0), (3, 0), (64, 0), (4096, 0),
+                                     (3, 1), (64, 3), (4096, 20)])
+def test_zero_tail_kernel_route_matches_high_precision(n, head):
+    # free (head 0) and Bernstein-Szego sequences: the kernel route sweeps
+    # the head and adds the zero tail in closed form, at and past +-1 too.
+    # Past +-1 the reference is taken at 1/u for the swept u = fl(1/x):
+    # that rounding alone moves rho by up to n eps near +-1 (5e-14 at
+    # x = 1.0005, n = 4096), the problem's conditioning, not the route's
+    mpmath = pytest.importorskip("mpmath")
+    a = _head_and_tail(n, head)
+    xs = [0.0, 1.0, -1.0, 1.0 - 2.0 ** -53, 1.0 - 1.0 / n, -(1.0 - 1.0 / n), 0.6,
+          -0.3, 1.0005, 3.0, -1e10]
+    got = real_intensity_kernel_grid(VerblunskySequence(values=a), n, xs)
+    for x, g in zip(xs, got):
+        with mpmath.workdps(60):
+            at = 1 / mpmath.mpf(1.0 / x) if abs(x) > 1.0 else x
+        want = _mp_rho(mpmath, a, n, at)
+        assert abs(g - want) <= 1e-14 * want, x
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the closed route loses up to 5e-8 "
+                                       "relative just outside CLOSED_CUTOFF")
+@pytest.mark.parametrize("n, x", [(2, 1.0005), (2, 0.999), (3, 1.0005), (8, 1.0005),
+                                  (64, 1.0005)])
+def test_closed_route_near_the_cutoff_matches_high_precision(n, x):
+    # free ensemble, where the kernel route is within 7.6e-16 at these points
+    mpmath = pytest.importorskip("mpmath")
+    got = real_intensity_grid(materialize(free_spec(), n), n, [x])[0]
+    want = _mp_rho(mpmath, np.zeros(n), n, x)
+    assert abs(got - want) <= 1e-12 * want

@@ -7,8 +7,8 @@ from opuczeros import InvalidCoefficientError, VerblunskySequence, evaluate, sze
 from opuczeros.szego import blaschke, kappa_log, regularity_epsilon
 from opuczeros.ensembles import constant, free, materialize, power_decay
 from opuczeros.intensity import (_BLOCK, CLOSED_CUTOFF, _closed_rho, _inverted,
-                                 _kernel_rho, _residual_step, real_intensity_grid,
-                                 real_intensity_kernel_grid)
+                                 _kernel_fold, _residual_step,
+                                 real_intensity_grid, real_intensity_kernel_grid)
 from opuczeros.kernels import (kernel_bundle, kernel_direct,
                                reversed_kernel_bundle)
 
@@ -367,24 +367,35 @@ def test_free_underflow_reads_zero(x):
     assert ev.phi_star[0] == 1.0 and ev.log_scale[0] == 0.0
 
 
+def _fold_rho(steps):
+    """The kernel route's block fold over every step, with no zero tail."""
+    k, _, r = _kernel_fold(steps)
+    return np.sqrt(r / k) / np.pi
+
+
 def test_real_intensity_grid_matches_unflushed_reference():
     # the values the engine flushes reach the closed form only through
-    # b = phi/phi^* and its derivative, whose squares round to 0 either way
+    # b = phi/phi^* and its derivative, whose squares round to 0 either way.
+    # alpha_{n-1} != 0 leaves the closed route no zero tail, so it sweeps
+    # through the 4095 zero steps before it; the kernel route reads only
+    # those zeros and takes them in closed form, within rounding of the
+    # unflushed fold over every degree
     n = 4096
     a = np.zeros(n)
+    a[-1] = 0.5
     x = np.concatenate([np.linspace(-2.0, 2.0, 401), [-0.9998, 0.9998]])
     closed = np.abs(1.0 - x * x) > CLOSED_CUTOFF
     xc = x[closed]
     u = _inverted(xc)
     for v, _ in _oracle_sweep(a, u, flush=False):
         pass
-    want = np.empty(x.shape)
-    want[closed] = _closed_rho(np.array([v[0], v[2]]), np.array([v[1], v[3]]), xc, u)
+    got = real_intensity_grid(VerblunskySequence(values=a), n, x)
+    want = _closed_rho(np.array([v[0], v[2]]), np.array([v[1], v[3]]), xc, u)
+    assert _same_bytes(got[closed], want)
     steps = _oracle_sweep(a[:n - 1], x[~closed], flush=False)
-    want[~closed] = _kernel_rho((np.array([v[0], v[2]]), None, sc) for v, sc in steps)
+    want = _fold_rho((np.array([v[0], v[2]]), None, sc) for v, sc in steps)
     assert np.count_nonzero(~closed) == 4
-    got = real_intensity_grid(VerblunskySequence(generator=lambda k: 0.0), n, x)
-    assert _same_bytes(got, want)
+    assert np.max(np.abs(got[~closed] - want) / want) <= 1e-14
 
 
 def _near_one():
@@ -420,7 +431,7 @@ def test_kernel_merge_rounding_against_high_precision(spec, n):
     xs = _near_one()
     steps = [(np.array([v[0], v[2]]), None, sc)
              for v, sc in _oracle_sweep(materialize(spec, n).array(n - 1), xs)]
-    got = _kernel_rho(iter(steps))
+    got = _fold_rho(iter(steps))
     old = _per_degree_rho(iter(steps), len(xs))
     # relative errors, in units of eps * cond
     units_got, units_old = [], []
@@ -474,16 +485,32 @@ def test_kernel_route_does_not_depend_on_the_grid():
     # degrees (the fold divides this point's rows and sums by 1 there), and
     # the blocks split the degrees the same way at any width; the same holds
     # for the dispatching grid, and where zero coefficients skip the mixing
+    # or end the sequence (the routes then stop the sweep at the zero tail)
     near = [-1.0, 1.0 - 1e-4, -(1.0 - 1e-4), 0.9996, -0.9996, 1.0004, -1.0004,
             1.0 - 1e-9, -(1.0 - 1e-9)]
     x = np.concatenate([near, [1.0], np.linspace(-2.0, 2.0, 17)])
     large = _large_alphas(600, 16)
+    # 150 zero coefficients after 450 large ones: as a Bernstein-Szego tail
+    # they are taken in closed form from degree 450, whose step rescales two
+    # points (mirrored on their K and R first); with alpha_598 != 0 after
+    # them, 148 of them are swept
+    tail = np.concatenate([large[:450], np.zeros(150)])
+    swept = tail.copy()
+    swept[598] = 0.3
     cases = [(VerblunskySequence(values=large), 600, x),
-             # a Bernstein-Szego tail: 150 zero coefficients after 450 large
-             # ones, long enough for points in [-1, 1] to rescale
-             (VerblunskySequence(values=np.concatenate([large[:450], np.zeros(150)])), 600, x),
+             (VerblunskySequence(values=tail), 600, x),
+             (VerblunskySequence(values=swept), 600, x),
              # phi and phi^* vanish at x = 1 near degree 839, so 1 itself raises
              (materialize(constant(0.5), 2000), 2000, np.array(near + [0.5, -2.0, 3.0]))]
+    # the tail in closed form agrees with the fold over every degree away
+    # from +-1, where both lose eps * cond in the head's fold
+    # (test_kernel_merge_rounding_against_high_precision)
+    far = np.abs(1.0 - x * x) > CLOSED_CUTOFF
+    outer = np.abs(x) >= 1.0
+    full = _fold_rho(szego._sweep(tail[:599], _inverted(x)))
+    full[outer] /= x[outer] ** 2
+    got = real_intensity_kernel_grid(VerblunskySequence(values=tail), 600, x)
+    assert np.max(np.abs(got - full)[far] / full[far]) <= 1e-13
     for al, n, x in cases:
         # some point the route sweeps (1/x past +-1) rescales inside a
         # block, not at its first degree
@@ -513,7 +540,11 @@ def test_kernel_route_past_one_rescales_rarely(monkeypatch):
         return check(P, S)
 
     monkeypatch.setattr(szego, "_rescale", counting)
-    real_intensity_kernel_grid(materialize(free(), 4096), 4096, np.linspace(-2.0, 2.0, 401))
+    # alpha_4094 != 0: the route sweeps the zeros before it (a free zero
+    # tail would take no step at all)
+    a = np.zeros(4096)
+    a[4094] = 0.5
+    real_intensity_kernel_grid(VerblunskySequence(values=a), 4096, np.linspace(-2.0, 2.0, 401))
     assert 0 < len(calls) <= 64
 
 
@@ -524,7 +555,7 @@ def test_kernel_route_past_one_matches_the_direct_sweep(spec, n):
     # rho(x) = rho(1/x)/x^2 agrees with the kernel sums swept at x itself
     al = materialize(spec, n)
     x = np.linspace(-2.0, 2.0, 401)
-    direct = _kernel_rho(szego._sweep(al.array(n - 1), x))
+    direct = _fold_rho(szego._sweep(al.array(n - 1), x))
     got = real_intensity_kernel_grid(al, n, x)
     assert np.max(np.abs(got - direct) / direct) <= 1e-11
 

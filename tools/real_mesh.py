@@ -10,12 +10,14 @@ of the adaptive driver (calls of ``_quad._estimate``), the integrand calls,
 the points handed to the integrand, the value and the stated error.  A solve
 that raises prints the exception's type in place of the value.  Ensembles
 are labels of ``ensembles.parse_ensemble``, plus ``seeded``: the decaying
-draw of the benchmark's ``real_quad`` job ``seeded/1024`` at seed 101.
+draw of the benchmark's ``real_quad`` job ``seeded/1024`` at seed 101, and
+``bernstein-szego``: a fixed draw of 20 coefficients with
+|alpha_k| <= 0.5/sqrt(k + 1), zeros after (a Bernstein-Szegő measure).
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are imported
 (default: the one holding this script), so two meshes are compared with the
 same harness; ``--quick`` runs the n = 64 cases at tol 1e-6 only, a smoke
 test.  BLAS and the library run on one thread, with the benchmark workers'
-``run.THREAD_ENV``.  The full table takes about 2 s on a 2-core host.
+``run.THREAD_ENV``.  The full table takes about 1 s on a 2-core host.
 """
 
 import argparse
@@ -23,7 +25,8 @@ import os
 import sys
 
 TOLS = (1e-6, 1e-9, 1e-11)
-CASES = ([("free", n) for n in (64, 256, 1024, 4096, 65536)]
+CASES = ([("free", n) for n in (64, 256, 1024, 4096, 65536, 2 ** 20)]
+         + [("bernstein-szego", n) for n in (4096, 65536)]
          + [("power_decay:0.3:2", n) for n in (64, 1024)]
          + [("geronimus:power_decay:0.3:2:0.5", 1024), ("seeded", 1024)]
          + [("constant:%s" % a, n) for a in ("0.5", "-0.5") for n in (64, 128, 256)])
@@ -40,6 +43,7 @@ def main(argv=None):
     sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
     import run  # the worker's thread settings, applied before numpy loads
     os.environ.update(run.THREAD_ENV)
+    import numpy as np
     import workloads
     from opuczeros import _quad, ensembles, expectation
 
@@ -61,8 +65,14 @@ def main(argv=None):
     print("%-32s %6s %6s %6s %5s %6s %16s %9s"
           % ("ensemble", "n", "tol", "rounds", "calls", "points", "value", "error"))
     for label, n in cases:
-        alpha = (workloads._seeded(101, 1, n) if label == "seeded" else
-                 ensembles.materialize(ensembles.parse_ensemble(label), n))
+        if label == "seeded":
+            alpha = workloads._seeded(101, 1, n)
+        elif label == "bernstein-szego":
+            alpha = np.zeros(n)
+            rng = np.random.default_rng(20)
+            alpha[:20] = rng.uniform(-0.5, 0.5, 20) / np.sqrt(np.arange(20) + 1.0)
+        else:
+            alpha = ensembles.materialize(ensembles.parse_ensemble(label), n)
         for tol in TOLS[:1] if args.quick else TOLS:
             counts.update(rounds=0, calls=0, points=0)
             try:
