@@ -49,6 +49,8 @@ def _parse_grid(text):
     start = _parse_number(parts[0], "grid start", float)
     end = _parse_number(parts[1], "grid end", float)
     count = _parse_number(parts[2], "grid count")
+    if not np.all(np.isfinite([start, end, end - start])):
+        raise InvalidCoefficientError("grid start, end and end - start must be finite")
     if count < 1:
         raise InvalidCoefficientError("grid count must be >= 1")
     return np.linspace(start, end, count)

@@ -6,7 +6,8 @@ formula and the sigma-decomposition).  Routes agree to near machine accuracy
 away from their respective degeneracies and tests enforce this.  The kernel
 route and E[P'/P] are term functions folded over one Szegő sweep by
 ``szego._fold``, which owns the rescale mirroring.  Where the coefficients
-end in zeros, both real routes stop the sweep there (``_zero_tail``).
+end in zeros, the real routes and E[P'/P] stop the sweep there and add the
+tail in closed form (``_zero_tail``) or by doubling (``_geometric``).
 """
 
 import itertools
@@ -390,7 +391,57 @@ def complex_intensity_reversed_grid(alpha, n, u, degenerate="raise"):
     return _bundle_intensity(reversed_kernel_bundle(alpha, n, u), degenerate)
 
 
-def _contour_sums(steps, m):
+def _turn(block, v, dv, de=0.0):
+    """The block of the rows v w_i, v w_i' + dv w_i from that of the w_i, at e + de.
+
+    A block ([C, D], p, q, s, e) holds C, D / 4^e and the factor p = sqrt(K),
+    q = mu sqrt(K), s = sqrt(R) of (K, mu, R) / 2^e: the rows p + i q and i s
+    have its A and B.  Both turn by v and are triangularised again with
+    s' = |v|^2 p s/p', a product (A^2 - |B|^2 = 4 p^2 s^2 is never formed);
+    where both turned rows are imaginary (p' = 0), s' holds all of them.
+    """
+    cd, p, q, s, e = block
+    w = p + 1j * q
+    ab = np.stack([p * p + q * q + s * s, w * w - s * s])
+    cd = np.stack([np.conj(v), v]) * (v * cd + dv * ab)
+    w, x2, y2 = v * w, -s * v.imag, s * v.real  # and the row v (i s)
+    p2 = np.hypot(w.real, x2)
+    d = np.where(p2 == 0.0, 1.0, p2)
+    s2 = np.where(p2 == 0.0, np.hypot(w.imag, y2), (v.real * v.real + v.imag * v.imag) * p * s / d)
+    return cd, p2, (w.real * w.imag + x2 * y2) / d, s2, e + de
+
+
+def _join(b1, b2):
+    """Both blocks' rows, at the larger scale: _merge's update on the factors,
+    p = hypot(p1, p2), q = (p1 q1 + p2 q2)/p, s = hypot(s1, s2, (p1 q2 - p2 q1)/p)."""
+    e = np.maximum(b1[4], b2[4])
+    (cd1, p1, q1, s1), (cd2, p2, q2, s2) = ((b[0] * (f * f), b[1] * f, b[2] * f, b[3] * f)
+                                            for b, f in ((b, np.exp2(b[4] - e)) for b in (b1, b2)))
+    p = np.hypot(p1, p2)
+    return (cd1 + cd2, p, (p1 * q1 + p2 * q2) / p,
+            np.hypot(np.hypot(s1, s2), (p1 * q2 - p2 * q1) / p), e)
+
+
+def _geometric(z, n):
+    """The block of the rows z^i, i z^(i-1), i < n, by binary doubling: rows
+    m..2m-1 are rows 0..m-1 turned by lam = z^m and lam m/z, with lam kept as
+    a mantissa times 2^le (no block overflows for |z| > 1)."""
+    zero = np.zeros(z.shape)
+    block, out = (np.zeros((2,) + z.shape, dtype=complex), zero + 1.0, zero, zero, zero), None
+    le = np.frexp(np.abs(z))[1]
+    lam, zi, m = z * np.exp2(-le), 1.0 / z, 1
+    while True:
+        if n & m:  # out, the n mod m rows so far, moves on past this block
+            out = block if out is None else _join(block, _turn(out, lam, lam * (m * zi), le))
+        if 2 * m > n:
+            return out
+        block = _join(block, _turn(block, lam, lam * (m * zi), le))
+        lam = lam * lam
+        k = np.frexp(np.abs(lam))[1]
+        lam, le, m = lam * np.exp2(-k), 2.0 * le + k, 2 * m
+
+
+def _contour_sums(steps, m, tail=None):
     """The sums A, B, C, D of E[P'/P], and K, R, folded over one sweep.
 
     X = P(z) = sum eta_i v_i(z) is a complex Gaussian with
@@ -407,7 +458,10 @@ def _contour_sums(steps, m):
     smallest normal float are skipped, since K = 0 would make the regression
     0/0 (the reversed basis underflows at low degrees, see _pair_rows).  A
     skipped term leaves K, mu, R and so A and B (which used to be summed
-    with it), but still enters C and D.  Returns (A, B, C, D, K, R).
+    with it), but still enters C and D.  With tail = (k, z, N), only the
+    first k steps are rows; the block of the N rows z^i v, z^i v' + i z^(i-1) v
+    from the next, V = [v, v'], joins the state after the fold mirrored its
+    rescale (the scale of the sums drops out of E[P'/P]).  Returns (A, B, C, D, K, R).
     """
     scratch = np.empty((3, m))
     vv, dvv = np.empty((2, 2, m), dtype=complex)
@@ -432,12 +486,24 @@ def _contour_sums(steps, m):
         return cd, k, mu, r, bool(np.all(k > 0.0))
 
     state = (np.zeros((2, m), dtype=complex),) + tuple(np.zeros((3, m))) + (False,)
-    ((c, d), k, mu, r, _), _ = _fold(steps, add, state, (2, 2, 0, 2, 0))
+    powers = (2, 2, 0, 2, 0)
+    if tail is not None:
+        rows, z, n = tail
+        if rows:
+            state, _ = _fold(itertools.islice(steps, rows), add, state, powers)
+
+        def add(state, V, S):  # the sums leave the fold at the joined scale
+            cd, k, mu, r, _ = state
+            p = np.sqrt(k)
+            cd, p, q, s, _ = _join((cd, p, mu * p, np.sqrt(r), 0.0 * p),
+                                   _turn(_geometric(z, n), V[0], V[1]))
+            return cd, p * p, q / p, s * s, True
+    ((c, d), k, mu, r, _), _ = _fold(steps, add, state, powers)
     km = k * mu
     return k + km * mu + r, (k - km * mu - r) + 2j * km, c, d, k, r
 
 
-def _log_derivative(steps, m):
+def _log_derivative(steps, m, tail=None):
     """E[P'/P] from _contour_sums: regressing Y on X and conj X gives
 
         E[P'/P] = (C/A - (D/A) conj(b)/(1 + sqrt(delta))) / sqrt(delta)
@@ -446,7 +512,7 @@ def _log_derivative(steps, m):
     vanishes on R (E[conj X / X] = conj B/(A + sqrt(A^2 - |B|^2))).
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a, b, c, d, k, r = _contour_sums(steps, m)
+        a, b, c, d, k, r = _contour_sums(steps, m, tail)
         root = np.sqrt(4.0 * (k / a) * (r / a))
         f = (c / a - (d / a) * np.conj(b / a) / (1.0 + root)) / root
     if not np.all(np.isfinite(f)):
@@ -466,7 +532,9 @@ def log_derivative_grid(alpha, n, z):
         return np.zeros(z.shape, dtype=complex)
     if np.any(z.imag == 0.0):
         raise OutOfDomainError("E[P'/P] is singular on the real line")
-    return _log_derivative(_sweep(as_verblunsky(alpha).array(n - 1), z), len(z))
+    a = as_verblunsky(alpha).array(n - 1)
+    kk = _tail_start(a, n)  # rows K.. are z^i phi_K: sweep to degree K only
+    return _log_derivative(_sweep(a[:kk], z), len(z), (kk, z, n - kk) if kk < n else None)
 
 
 # the reversed basis recomputes its power of u from log u this often (in
@@ -527,8 +595,14 @@ def log_derivative_pair_grid(alpha, n, u):
         raise OutOfDomainError("E[P'/P] is singular on the real line")
     if np.any(np.abs(u) > 1.0):
         raise OutOfDomainError("the reversed fold needs |u| <= 1")
-    f = _log_derivative(_pair_rows(_sweep(as_verblunsky(alpha).array(n - 1), u), n, u),
-                        2 * len(u))
+    a = as_verblunsky(alpha).array(n - 1)
+    kk = _tail_start(a, n)
+    # psi_(n-1-j) = u^j phi_K^* for j < N: the tail in u, from (phi_K^*, phi_K^*')
+    steps = _sweep(a[:kk], u)
+    rows = itertools.chain(_pair_rows(itertools.islice(steps, kk), n, u),
+                           ((np.concatenate([P, S], axis=1), None, None if sc is None
+                             else np.concatenate([sc, sc])) for P, S, sc in steps))
+    f = _log_derivative(rows, 2 * len(u), (kk, np.concatenate([u, u]), n - kk) if kk < n else None)
     return f[:len(u)], f[len(u):]
 
 
@@ -639,6 +713,8 @@ def scaling_limit_density(tau):
         u = t * t / 12.0 + t ** 4 / 360.0 + t ** 6 / 20160.0
         gp = (1.0 / 12.0 + t * t / 360.0 + t ** 4 / 20160.0) / (1.0 + u)
         return gp / (2.0 * math.pi)
-    sh = math.sinh(0.5 * t)
-    gp = 1.0 / (t * t) - 1.0 / (4.0 * sh * sh)
+    gp = 1.0 / (t * t)
+    if abs(t) <= 1400.0:  # beyond, 1/(4 sinh^2(tau/2)) is 0 in double precision
+        sh = math.sinh(0.5 * t)  # and sinh overflows from |tau| = 1421 on
+        gp -= 1.0 / (4.0 * sh * sh)
     return gp / (2.0 * math.pi)

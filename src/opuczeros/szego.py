@@ -29,8 +29,8 @@ in the sweep values: sums of squares p = 2, stored rows p = 1 (the real
 kernel route keeps the rows of a block of degrees and merges them at once,
 see ``intensity._kernel_fold``), ratios p = 0.  The kernel sums and
 ``evaluate`` add one degree at a time, bit-identical to a per-step
-reference; E[P'/P] also folds one degree at a time, but derives two of its
-sums (see ``intensity._contour_sums``).
+reference; E[P'/P] folds one degree at a time up to a zero tail, which it
+adds by doubling, and derives two of its sums (see ``intensity._contour_sums``).
 
 The range check ``_rescale`` runs only when a mantissa could leave
 [1e-100, 1e100].  Per step the largest of the four moduli grows by at most

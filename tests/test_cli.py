@@ -160,6 +160,14 @@ def test_scaling_limit_density_at_zero(tmp_path):
     assert abs(float(mid[2]) - 1.0 / (24.0 * math.pi)) < 1e-12
 
 
+def test_scaling_limit_at_huge_tau(tmp_path):
+    # math.sinh overflows past |tau| = 1421; this grid once ended in a traceback
+    out = tmp_path / "scaling.csv"
+    assert main(["scaling-limit", "--tau-grid=0:1e300:3", "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert [float(r[2]) for r in rows[1:]] == [0.0, 0.0]
+
+
 def test_geronimus_check(tmp_path):
     out = tmp_path / "g.json"
     rc = main(["geronimus-check", "--base", "free", "--t", "0.5",
@@ -215,6 +223,12 @@ def test_input_error_exit_code(capsys):
         ["mc", "--n", "16", "--trials", "50", "--region", "window:0.5:2.5:-40:4"],
         ["expected-zeros", "--n", "16", "--region", "window:0.5:2.5:-40:4"],
         ["scaling-limit", "--tau-grid", "0:1:x"],
+        # non-finite grid ends once wrote nan rows with exit 0, and a span
+        # end - start that overflows printed numpy warnings first
+        ["scaling-limit", "--tau-grid=nan:1:3"],
+        ["scaling-limit", "--tau-grid=-inf:1:3"],
+        ["scaling-limit", "--tau-grid=0:inf:3"],
+        ["intensity", "--n", "8", "--real-grid=-1e308:1e308:3"],
     ]
     for command in ("expected-zeros", "conservation-check"):
         cases += [[command, "--n", "4", "--tolerance", tol]

@@ -104,6 +104,19 @@ def test_window_512_within_its_stated_error():
     assert abs(got.value - 78.5356121950) <= got.error + 5e-11
 
 
+def test_free_window_counts_approach_the_near_circle_prediction():
+    # the paper's near-circle count n |S|/(2 pi) (g(tau2) - g(tau1)) is the
+    # limit; the relative deviation falls about 16 times per 4 times in n
+    # (measured -1.28e-5, -8.0e-7 and -5.0e-8 at n = 512, 2048 and 8192)
+    window = ScalingWindow(math.pi / 4, 3 * math.pi / 4, -5.0, 5.0)
+    dev = {}
+    for n in (2048, 8192):
+        got = expected_complex_zeros(materialize(free(), n), n, window, tol=1e-8)
+        dev[n] = (got.value - got.prediction) / got.prediction
+    assert abs(dev[8192]) <= 1e-7
+    assert abs(dev[2048]) >= 10.0 * abs(dev[8192])
+
+
 def test_degree_one_and_empty_regions_have_no_complex_zeros():
     got = expected_complex_zeros(materialize(free(), 1), 1, AnnularSector(0.0, math.pi, 0.3))
     assert (got.value, got.error) == (0.0, 0.0)
@@ -188,6 +201,46 @@ def _log_derivative_mp(a, n, z, mpmath):
     c = (C * A - D * mpmath.conj(B)) / det
     d = (D * A - C * B) / det
     return c + d * mpmath.conj(B) / (A + mpmath.sqrt(det))
+
+
+def _head_and_tail(k, n):
+    """k random coefficients, the last 0.3, then zeros: a Bernstein-Szegő measure."""
+    rng = np.random.default_rng([23, k])
+    a = np.zeros(n)
+    a[:k] = 0.5 * rng.uniform(-1.0, 1.0, k) / np.sqrt(np.arange(k) + 1.0)
+    a[k - 1] = 0.3
+    return VerblunskySequence(values=a)
+
+
+@pytest.mark.parametrize("k, n", [
+    (0, 2), (0, 3), (0, 64), (0, 4096), (5, 64), (20, 512), (200, 1024),
+])
+def test_zero_tail_folds_match_high_precision(k, n):
+    # past the last nonzero coefficient alpha_(k-1) the rows are z^i phi_k,
+    # added by doubling, not swept (k = 0 is the free ensemble).  |z| = 0.3
+    # and 1.3 make z^m underflow and overflow at n = 4096; 0.9i gives blocks
+    # whose real part is 0.  The reversed fold's tail is the same block in u
+    mpmath = pytest.importorskip("mpmath")
+    seq = materialize(free(), n) if k == 0 else _head_and_tail(k, n)
+    a, g = seq.array(n), GUARD_THETA
+    z = [0.3 * np.exp(0.7j), 1.3 * np.exp(0.7j), 0.9j, np.exp(1j * (math.pi - g))]
+    u = [0.9 * np.exp(2.5j)] + ([1e-20 * np.exp(0.7j)] if k == 0 else [])
+    if n <= 64:
+        z += [0.3 * np.exp(0.01j), np.exp(2.5j), 1.3 * np.exp(-2.5j), 0.9 * np.exp(1j * g)]
+        u += [0.3 * np.exp(0.01j), np.exp(0.7j), 0.9 * np.exp(1j * g)]
+    got = log_derivative_grid(seq, n, z)
+    for zi, f in zip(z, got):
+        with mpmath.workdps(60):
+            want = complex(_log_derivative_mp(a, n, zi, mpmath))
+        rel = 1e-9 if min(abs(np.angle(zi)), math.pi - abs(np.angle(zi))) < 0.01 else 1e-12
+        assert abs(f - want) <= rel * abs(want), zi
+    got = log_derivative_pair_grid(seq, n, u)[1]
+    for ui, f in zip(u, got):
+        with mpmath.workdps(120):
+            v = mpmath.mpc(ui)
+            want = complex((n - 1) / v - _log_derivative_mp(a, n, 1 / v, mpmath) / v ** 2)
+        rel = 1e-9 if np.angle(ui) < 0.01 else 1e-12
+        assert abs(f - want) <= rel * abs(want), ui
 
 
 @pytest.mark.parametrize("name, n, r", [
@@ -284,7 +337,7 @@ def test_contour_fold_does_not_depend_on_the_grid():
     z = np.concatenate([r * e for r in (0.3, 0.9, 1.0, 1.1, 2.0)])
     u = np.concatenate([r * e for r in (1e-6, 1e-3, 0.5, 0.99, 1.0)])
     partial = 0
-    for alpha, n in ((big, 600), (materialize(free(), 512), 512)):
+    for alpha, n in ((big, 600), (materialize(free(), 512), 512), (_head_and_tail(20, 512), 512)):
         for points in (z, u):
             partial += any(sc is not None and np.any(sc == 1.0) and np.any(sc != 1.0)
                            for _, _, sc in szego._sweep(alpha.array(n - 1), points))

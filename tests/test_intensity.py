@@ -261,6 +261,12 @@ def test_scaling_limit_density():
     for tau in (-2.0, 0.5, 3.0):
         fd = (growth_log_derivative(tau + h) - growth_log_derivative(tau - h)) / (2 * h)
         assert abs(scaling_limit_density(tau) - fd / (2 * math.pi)) < 1e-9
+    # past |tau| = 1400, 1/(4 sinh^2(tau/2)) is 0 in double precision, and
+    # math.sinh itself overflows from 1421 on
+    for tau in (1e3, 1e4, 1e300):
+        for t in (tau, -tau):
+            want = 1.0 / (2.0 * math.pi * t * t)
+            assert abs(scaling_limit_density(t) - want) <= 1e-15 * want
 
 
 def test_grid_matches_scalar():

@@ -1,4 +1,4 @@
-"""Print ns per point-step of a bare Szegő sweep, the sweep layer's cost.
+"""Print ns per point-step of a bare Szegő sweep and of the contour fold.
 
     python3 tools/sweep_ns.py
     python3 tools/sweep_ns.py --root ../other-checkout
@@ -9,13 +9,19 @@ discards the steps, so the time is the recurrence and its range checks
 alone, with no fold.  The cases are the free (Kac) ensemble, whose steps
 skip the mixing, and ``power_decay(0.3, 2)``, whose steps do all of it, at
 1, 33, 957 and 4001 real points in (-1, 1) and at 800 and 7000 complex
-points in the unit disk.  A run repeats the sweep up to ``MAX_REPS`` times,
+points in the unit disk.  Two ``contour`` rows time the whole of
+``intensity.log_derivative_grid`` (E[P'/P], the integrand of complex counts)
+at the same 800 complex points and n = 1024, in ns per point-degree: the
+free ensemble's rows past degree 0 are added by doubling there, not swept,
+while ``power_decay(0.3, 2)`` sweeps and folds all 1024 degrees.  The
+benchmark's tracer has no span for E[P'/P], so these rows are where the
+fold layer's cost shows.  A run repeats its case up to ``MAX_REPS`` times,
 until it has made about ``BUDGET`` point-steps; a case's figure is the
 median over ``RUNS`` runs, and the runs of all cases interleave, so drift
 of the host spreads over every case alike.  ``--root`` names the checkout
 whose ``src/`` is imported (default: the one holding this script), so two
-checkouts are compared with the same harness; ``--quick`` makes one sweep
-per case, a smoke test of the harness, not a measurement.  BLAS and the
+checkouts are compared with the same harness; ``--quick`` runs each case
+once, a smoke test of the harness, not a measurement.  BLAS and the
 library run on one thread, with the benchmark workers' ``run.THREAD_ENV``.
 """
 
@@ -30,7 +36,7 @@ DEGREES = 1024
 BUDGET, MAX_REPS, RUNS = 2_000_000, 40, 9
 CASES = [(ens, kind, m) for ens in ("free", "power_decay(0.3, 2)")
          for kind, m in (("real", 1), ("real", 33), ("real", 957), ("real", 4001),
-                         ("complex", 800), ("complex", 7000))]
+                         ("complex", 800), ("complex", 7000), ("contour", 800))]
 
 
 def _grid(np, kind, m):
@@ -54,11 +60,18 @@ def main(argv=None):
     import run  # the worker's thread settings, applied before numpy loads
     os.environ.update(run.THREAD_ENV)
     import numpy as np
-    from opuczeros import szego
+    from opuczeros import intensity, szego
     from opuczeros.ensembles import free, materialize, power_decay
 
     alphas = {"free": materialize(free(), DEGREES).array(DEGREES),
               "power_decay(0.3, 2)": materialize(power_decay(0.3, 2), DEGREES).array(DEGREES)}
+
+    def run_case(a, kind, z):
+        if kind == "contour":  # E[P'/P] over degrees 0..DEGREES-1
+            intensity.log_derivative_grid(a, DEGREES, z)
+        else:
+            collections.deque(szego._sweep(a, z), maxlen=0)
+
     times = collections.defaultdict(list)
     for _ in range(runs):
         for ens, kind, m in CASES:
@@ -66,7 +79,7 @@ def main(argv=None):
             reps = min(max_reps, max(1, BUDGET // (DEGREES * m)))
             t0 = time.perf_counter()
             for _ in range(reps):
-                collections.deque(szego._sweep(a, z), maxlen=0)
+                run_case(a, kind, z)
             times[ens, kind, m].append((time.perf_counter() - t0) / (reps * DEGREES * m))
     print("%-20s %-8s %6s %10s" % ("ensemble", "dtype", "points", "ns/pt-step"))
     for ens, kind, m in CASES:
