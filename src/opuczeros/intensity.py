@@ -6,8 +6,8 @@ formula and the sigma-decomposition).  Routes agree to near machine accuracy
 away from their respective degeneracies and tests enforce this.  The kernel
 route and E[P'/P] are term functions folded over one Szegő sweep by
 ``szego._fold``, which owns the rescale mirroring.  Where the coefficients
-end in zeros, the real routes and E[P'/P] stop the sweep there and add the
-tail in closed form (``_zero_tail``) or by doubling (``_geometric``).
+end in zeros, every route stops the sweep there and adds the tail in closed
+form (``_zero_tail``) or by doubling (``_geometric``, ``kernels._geometric_sums``).
 """
 
 import itertools
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .kernels import kernel_bundle, reversed_kernel_bundle
-from .szego import _fold, _sweep, as_verblunsky, evaluate
+from .szego import _fold, _sweep, _tail_start, as_verblunsky, evaluate
 
 # dispatch from the closed form to the kernel form near x = +-1
 CLOSED_CUTOFF = 1e-3
@@ -161,12 +161,6 @@ def _kernel_fold(steps):
             rows[j:] = 0.0
             k, mu, r = _merge(k, mu, r, rows)
     return k, mu, r
-
-
-def _tail_start(a, n):
-    """K, the index after the last nonzero of a, if N = n - K >= 2 zeros follow; else n."""
-    k = int(np.flatnonzero(a)[-1]) + 1 if np.any(a) else 0
-    return k if k <= n - 2 else n
 
 
 # (sinh y - y)/y^3 and (y cosh y - sinh y)/y^3 in y^2, to eps for y <= 1.5
@@ -364,6 +358,7 @@ def _bundle_intensity(b, degenerate):
 def complex_intensity_grid(alpha, n, z, degenerate="raise"):
     """Three-term kernel-form complex intensity on a grid off R and T.
 
+    The kernel sums stop the sweep at a zero tail and add the tail by doubling.
     degenerate="zero" returns 0 where the denominator underflows instead of
     raising; quadrature integrands use that, since the density is negligible
     on the offending sliver along the real axis.

@@ -3,16 +3,19 @@
 Direct sums accumulate the kernel terms over one ``szego._sweep``; the
 fold ``szego._fold`` mirrors every rescale event of the sweep on the
 accumulators, so every returned quantity shares one log-scale exponent.
-Real points sweep in float64, so their sums come back real.
+Real points sweep in float64, so their sums come back real.  Where the
+coefficients end in zeros the sweep stops there, and the rows past it,
+z^i times the last swept row, are added by binary doubling (O(log n)).
 """
 
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfDomainError
-from .szego import as_verblunsky, evaluate, _fold, _points, _sweep
+from .szego import as_verblunsky, evaluate, _fold, _points, _sweep, _tail_start
 
 # CD quotients have a 0/0 structure on z*conj(w) = 1; below this cutoff the
 # direct sum must be used.
@@ -72,22 +75,77 @@ def _unpack_complex(sums):
     return k, kb, k10, k10b, k11
 
 
-def _kernel_sums(alpha, n, z, terms, unpack):
+def _scaled(v, w, e):
+    """v, w, e with v 2^e, w 2^e kept and v moved into [1/2, 1) as far as e >= 0 allows."""
+    k = np.maximum(np.frexp(np.abs(v))[1], -e)
+    f = np.exp2(-k)
+    return v * f, w * f, e + k
+
+
+def _turn_sums(sums, v, dv):
+    """Sums (A, B, C, D, E) of the rows v w_i, v w_i' + dv w_i from those of w_i."""
+    a, b, c, d, e = sums
+    av, v2, w = _abs2(v), v * v, dv * np.conj(v)
+    return (av * a, v2 * b, av * c + w * a, v2 * d + dv * v * b,
+            av * e + _abs2(dv) * a + 2.0 * np.real(np.conj(w) * c))
+
+
+def _join_sums(s1, e1, s2, e2):
+    """The sums of two blocks stored at 4^e1 and 4^e2, added at the larger, into s2."""
+    e = np.maximum(e1, e2)
+    f1, f2 = np.exp2(2.0 * (e1 - e)), np.exp2(2.0 * (e2 - e))
+    return tuple(np.add(x * f1, np.multiply(y, f2, out=y), out=y) for x, y in zip(s1, s2)), e
+
+
+def _geometric_sums(z, n):
+    """Sums of the rows z^i, i z^(i-1), i < n, at 4^e by binary doubling, and z^n,
+    z^(n-1) at 2^pe.  Rows m..2m-1 are rows 0..m-1 turned by lam = z^m and m mu,
+    mu = z^(m-1) (not lam/z: z may be 0), at 2^le: scaled past |z| = 1 only."""
+    zero, one = np.zeros(z.shape), np.ones(z.shape, z.dtype)
+    block, be, out, oe = (zero + 1.0, one, zero * one, zero * one, zero), zero, None, None
+    (lam, mu, le), (pw, pw1, pe), m = _scaled(z, one, zero), (one, one, zero), 1
+    while True:
+        if n & m:  # out, the n mod m rows so far, moves on past this block
+            out, oe = (block, be) if out is None else _join_sums(
+                block, be, _turn_sums(out, lam, m * mu), oe + le)
+            pw, pw1, pe = _scaled(pw * lam, pw * mu, pe + le)
+        if 2 * m > n:
+            return out, oe, (pw, pw1, pe)
+        block, be = _join_sums(block, be, _turn_sums(block, lam, m * mu), be + le)
+        lam, mu, le = _scaled(lam * lam, lam * mu, 2.0 * le)
+        m *= 2
+
+
+def _kernel_sums(alpha, n, z, terms, unpack, reverse=False):
     """KernelBundle of the sums over i = 0..n-1, folded over one sweep at z.
 
     terms(zz) returns (add, sums): add(sums, P, S) folds the degree-i term
     of the stacked sweep values into the zeroed sums; unpack(sums) returns
     the five sums (K(z, z), K(z, conj z), K^{(1,0)}(z, z),
     K^{(1,0)}(z, conj z), K^{(1,1)}(z, z)).  Every sum is quadratic in the
-    sweep values.
+    sweep values.  Where alpha_k = 0 from k = K on and N = n - K >= 2, the
+    sweep stops at K: the rows past K are _geometric_sums turned by [phi_K,
+    phi_K'] (reverse: by [phi^*_K, phi^*_K'], and the rows below K by u^N).
     """
     if n < 1:
         raise OutOfDomainError("kernel sums need n >= 1")
     a = as_verblunsky(alpha).array(n - 1)
+    kk = _tail_start(a, n)
     zz = _points(z)
     add, sums = terms(zz)
-    sums, log_scale = _fold(_sweep(a, zz), add, sums, (2,) * len(sums))
-    k, kb, k10, k10b, k11 = unpack(sums)
+    steps, log_scale = _sweep(a[:kk], zz), 0.0
+    if kk:
+        sums, log_scale = _fold(itertools.islice(steps, kk), add, sums, (2,) * len(sums))
+    sums = unpack(sums)
+    if kk < n:  # degree K, copied: the terms' and the sweep's buffers go before the tail
+        add = lambda st, P, S: st[:5] + ((S if reverse else P).copy(),)
+        (*h, v), ls = _fold(steps, add, sums + (None,), (2,) * 5 + (0,))
+        g, ge, (pw, pw1, pe) = _geometric_sums(zz, n - kk)
+        if reverse:
+            h = _turn_sums(h, pw, (n - kk) * pw1)
+        sums, e = _join_sums(h, pe if reverse else 0.0, _turn_sums(g, v[0], v[1]), ge)
+        log_scale = log_scale + ls + e * np.log(2.0)
+    k, kb, k10, k10b, k11 = sums
     ls = 2.0 * log_scale
     if np.ndim(z) == 0:
         return KernelBundle(n, complex(zz[0]), float(k[0]), complex(kb[0]),
@@ -140,7 +198,7 @@ def reversed_kernel_bundle(alpha, n, u):
         return add, (np.zeros(uu.shape), np.zeros_like(c), np.zeros_like(c),
                      np.zeros_like(c), np.zeros(uu.shape))
 
-    return _kernel_sums(alpha, n, u, terms, tuple)
+    return _kernel_sums(alpha, n, u, terms, tuple, reverse=True)
 
 
 def kernel_direct(alpha, n, z, w):

@@ -29,8 +29,8 @@ in the sweep values: sums of squares p = 2, stored rows p = 1 (the real
 kernel route keeps the rows of a block of degrees and merges them at once,
 see ``intensity._kernel_fold``), ratios p = 0.  The kernel sums and
 ``evaluate`` add one degree at a time, bit-identical to a per-step
-reference; E[P'/P] folds one degree at a time up to a zero tail, which it
-adds by doubling, and derives two of its sums (see ``intensity._contour_sums``).
+reference; the kernel sums and E[P'/P] stop at a zero tail and add it by
+doubling, and E[P'/P] derives two of its sums (``intensity._contour_sums``).
 
 The range check ``_rescale`` runs only when a mantissa could leave
 [1e-100, 1e100].  Per step the largest of the four moduli grows by at most
@@ -273,10 +273,17 @@ def _fold(steps, add, state, powers):
     for P, S, sc in steps:
         if sc is not None:
             log_scale = log_scale + np.log(sc)
-            factor = (None, sc, sc * sc)
+            with np.errstate(over="ignore"):  # sc^2 = inf past |z| ~ 1e154 gives the right 0
+                factor = (None, sc, sc * sc)
             state = tuple(v / factor[p] if p else v for v, p in zip(state, powers))
         state = add(state, P, S)
     return state, log_scale + np.zeros(P.shape[1:])
+
+
+def _tail_start(a, n):
+    """K, the index after the last nonzero of a, if N = n - K >= 2 zeros follow; else n."""
+    k = len(a) if len(a) and a[-1] else int(np.flatnonzero(a)[-1]) + 1 if np.any(a) else 0
+    return k if k <= n - 2 else n
 
 
 def _prefix(log2_steps):

@@ -286,8 +286,14 @@ def test_exterior_intensity_is_finite_and_self_consistent():
     r = np.linspace(1.4, 2.0, 7)
     theta = np.linspace(0.3, math.pi - 0.3, 15)
     z = (r[:, None] * np.exp(1j * theta[None, :])).ravel()
-    for spec, n in ((free_spec(), 300), (power_decay(0.3, 2), 256)):
-        al = materialize(spec, n)
+    # free n = 4096 and the Bernstein-Szego head of power_decay(0.3, 2) with
+    # 236 zeros after it take the rows past the head by doubling; the
+    # forward sums reach |z|^8190 ~ 1e2465 there
+    head = materialize(power_decay(0.3, 2), 20).array(20)
+    cases = [(materialize(free_spec(), 300), 300), (materialize(power_decay(0.3, 2), 256), 256),
+             (VerblunskySequence(values=np.concatenate([head, np.zeros(236)])), 256),
+             (materialize(free_spec(), 4096), 4096)]
+    for al, n in cases:
         rho = complex_intensity_grid(al, n, z)
         assert np.all(np.isfinite(rho)) and np.all(rho > 0.0)
         ref = np.abs(z) ** -4 * complex_intensity_reversed_grid(al, n, 1.0 / z)

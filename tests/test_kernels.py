@@ -1,9 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from opuczeros import OutOfDomainError, VerblunskySequence, evaluate
+from opuczeros.ensembles import materialize, power_decay
+from opuczeros.intensity import complex_intensity_grid
+from opuczeros.szego import kappa_log
 from opuczeros.kernels import (christoffel, kernel_bundle, kernel_cd,
                                kernel_direct, reversed_kernel_bundle)
 
@@ -108,7 +112,7 @@ def test_cauchy_schwarz():
 
 
 def test_christoffel_values():
-    assert abs(christoffel(free(), 5, 0.0) - 1.0) < 1e-14
+    assert christoffel(free(), 5, 0.0) == 1.0
     for n in (2, 7, 33):
         assert abs(christoffel(free(), n, 1.0) - 1.0 / n) < 1e-13
     # lambda_2(0.2) with alpha = [0.5, 0.3]: 1/(1 + |phi_1(0.2)|^2)
@@ -170,15 +174,22 @@ def test_kernel_sums_agree_through_rescale_events():
 
 def test_reversed_kernel_through_rescale_events():
     # psi_i(u) = u^(n-1) conj(phi_i(1/conj u)), so the reversed diagonal sum is
-    # |u|^(2(n-1)) K_n(1/conj u, 1/conj u)
+    # |u|^(2(n-1)) K_n(1/conj u, 1/conj u).  Zeros after 20 and after 450 of
+    # the coefficients make zero tails: the forward sums past |z| = 1 carry the
+    # doubling's scale, and after 450 the sweep of the head rescales (at
+    # degree 414 or 396) before the reversed sums turn it by u^150
     n = 600
-    for seed in (16, 17):
-        al = _large_alphas(n, seed)
+    cases = [(_large_alphas(n, seed), True) for seed in (16, 17)]
+    cases += [(VerblunskySequence(values=np.concatenate([_large_alphas(n, 16).array(k),
+                                                         np.zeros(n - k)])), k == 450)
+              for k in (20, 450)]
+    for al, head_rescales in cases:
         for r in (0.3, 0.6):
             u = r * np.exp(1.1j)
             rb = reversed_kernel_bundle(al, n, u)
-            assert rb.log_scale > 0.0
+            assert (rb.log_scale > 0.0) == head_rescales
             kb = kernel_bundle(al, n, 1.0 / np.conj(u))
+            assert kb.log_scale > 0.0
             lhs = math.log(rb.k_zz) + rb.log_scale
             power = 2.0 * (n - 1) * math.log(r)
             rest = math.log(kb.k_zz) + kb.log_scale
@@ -193,3 +204,98 @@ def test_kernel_sums_reject_nonfinite_points():
             reversed_kernel_bundle(free(), 8, z)
     with pytest.raises(OutOfDomainError):
         kernel_direct(free(), 8, complex(np.nan, 0.0), 0.5)
+
+
+def _kernel_sums_mp(a, n, z, mpmath):
+    """Sums (A, B, C, D, E) of |v|^2, v^2, v' conj v, v' v, |v'|^2 over the rows
+    v_i = phi_i(z) and over v_i = psi_i(z) = z^(n-1-i) phi_i^*(z), from one
+    high-precision Szegő sweep."""
+    z = mpmath.mpc(z)
+    pows = [mpmath.mpf(1)]
+    for _ in range(n):
+        pows.append(pows[-1] * z)
+    phi, phis, dphi, dphis = mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+    sums = [[mpmath.mpf(0)] * 5 for _ in range(2)]
+    for k in range(n):
+        p = n - 1 - k
+        dpsi = pows[p] * dphis + (p * pows[p - 1] * phis if p else 0)
+        rows = ((phi, dphi), (pows[p] * phis, dpsi))
+        for acc, (v, dv) in zip(sums, rows):
+            for j, t in enumerate((abs(v) ** 2, v * v, dv * mpmath.conj(v), dv * v, abs(dv) ** 2)):
+                acc[j] += t
+        if k < n - 1:
+            ak = mpmath.mpf(float(a[k]))
+            s = 1 / mpmath.sqrt(1 - ak * ak)
+            zphi, zdphi = z * phi, phi + z * dphi
+            phi, phis = (zphi - ak * phis) * s, (phis - ak * zphi) * s
+            dphi, dphis = (zdphi - ak * dphis) * s, (dphis - ak * zdphi) * s
+    return sums
+
+
+def _head_and_tail(k, n):
+    """k random coefficients, the last 0.3, then zeros: a Bernstein-Szegő measure."""
+    rng = np.random.default_rng([24, k])
+    a = np.zeros(max(k, n))
+    a[:k] = 0.5 * rng.uniform(-1.0, 1.0, k) / np.sqrt(np.arange(k) + 1.0)
+    a[k - 1] = 0.3
+    return VerblunskySequence(values=a)
+
+
+@pytest.mark.parametrize("k", [0, 5, 20])
+@pytest.mark.parametrize("n", [2, 3, 64, 4096])
+def test_zero_tail_kernel_sums_match_high_precision(k, n):
+    # past the last nonzero coefficient the rows are z^i phi_K, added by
+    # doubling, not swept (k = 0 is the free ensemble).  Each sum is compared
+    # on its own scale: A for A and B, sqrt(A E) for C and D, E for E
+    mpmath = pytest.importorskip("mpmath")
+    seq = free() if k == 0 else _head_and_tail(k, n)
+    a = seq.array(n - 1)
+    z = np.array([0.0, 0.3 * np.exp(0.7j), np.exp(0.3j), 0.999 * np.exp(0.01j),
+                  1.3 * np.exp(2j), 0.9 * np.exp(1e-5j)])
+    bundles = [kernel_bundle(seq, n, z), reversed_kernel_bundle(seq, n, z[np.abs(z) <= 1.0])]
+    rev = 0
+    for i, zi in enumerate(z):
+        with mpmath.workdps(60):
+            refs = _kernel_sums_mp(a, n, zi, mpmath)
+            for b, j, want in zip(bundles, (i, rev), refs if abs(zi) <= 1.0 else refs[:1]):
+                got = (b.k_zz[j], b.k_zzbar[j], b.k10_zz[j], b.k10_zzbar[j], b.k11_zz[j])
+                s = mpmath.exp(b.log_scale[j])
+                A, E = want[0], want[4]
+                scale = [A, A, mpmath.sqrt(A * E), mpmath.sqrt(A * E), E]
+                for g, w, sc in zip(got, want, scale):
+                    assert abs(g * s - w) <= 1e-12 * sc, (b is bundles[1], zi)
+        rev += abs(zi) <= 1.0
+
+
+@pytest.mark.parametrize("r", [1e160, 1e300])
+@pytest.mark.parametrize("tail", [False, True], ids=["full", "zero_tail"])
+def test_kernel_sums_at_huge_points_raise_no_warning(tail, r):
+    # past |z| ~ 1e154 a rescale factor's square overflows; the sums it
+    # divides are negligible there, and dividing them by inf must not warn.
+    # K_n(z, z) is |phi_(n-1)(z)|^2 = kappa_(n-1)^2 |z|^(2(n-1)) to rounding
+    n = 64
+    al = free() if tail else materialize(power_decay(0.3, 2), n)
+    z = r * np.array([1.0 + 1.0j, -1.0 + 1.0j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        b = kernel_bundle(al, n, z)
+        want = 2.0 * (n - 1) * np.log(np.abs(z)) + 2.0 * kappa_log(al, n - 1)
+        assert np.all(np.abs(np.log(b.k_zz) + b.log_scale - want) <= 1e-12 * want)
+        rb = reversed_kernel_bundle(al, n, 1.0 / z)
+        assert np.all(np.isfinite(rb.k_zz) & (rb.k_zz > 0.0))
+        with pytest.raises(OutOfDomainError):
+            complex_intensity_grid(al, n, z)
+
+
+def test_zero_tail_kernel_sums_at_tiny_points():
+    # z^m underflows, and below 2^-1022 so does z itself: the doubling must
+    # not scale it up.  The sums are 1 + O(|z|^2), K^(1,0)(z, z) conj z + O(|z|^3)
+    z = np.array([1e-310 + 1e-310j, 3e-200j, -2e-30 + 1e-30j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for route in (kernel_bundle, reversed_kernel_bundle):
+            b = route(free(), 64, z)
+            assert np.all(b.log_scale == 0.0)
+            assert np.all((b.k_zz == 1.0) & (b.k11_zz == 1.0))
+            assert np.all(np.abs(b.k_zzbar - 1.0) <= 2.0 * np.abs(z) ** 2)
+            assert np.all(np.abs(b.k10_zz - np.conj(z)) <= 1e-15 * np.abs(z))

@@ -1,4 +1,4 @@
-"""Print ns per point-step of a bare Szegő sweep and of the contour fold.
+"""Print ns per point-step of a bare Szegő sweep, the contour fold and the complex intensity.
 
     python3 tools/sweep_ns.py
     python3 tools/sweep_ns.py --root ../other-checkout
@@ -15,8 +15,14 @@ at the same 800 complex points and n = 1024, in ns per point-degree: the
 free ensemble's rows past degree 0 are added by doubling there, not swept,
 while ``power_decay(0.3, 2)`` sweeps and folds all 1024 degrees.  The
 benchmark's tracer has no span for E[P'/P], so these rows are where the
-fold layer's cost shows.  A run repeats its case up to ``MAX_REPS`` times,
-until it has made about ``BUDGET`` point-steps; a case's figure is the
+fold layer's cost shows.  Two ``intensity`` rows time the whole of
+``intensity.complex_intensity_grid`` (the kernel sums and the three-term
+formula) the same way: the free ensemble's kernel sums take their rows past
+degree 0 by doubling, ``power_decay(0.3, 2)`` sweeps all 1024 degrees.  The
+benchmark's tracer counts ``kernels.kernel_bundle.point_steps`` as width
+times n, which overstates the work where a zero tail is doubled; these rows
+give its cost per point-degree.  A run repeats its case up to ``MAX_REPS``
+times, until it has made about ``BUDGET`` point-steps; a case's figure is the
 median over ``RUNS`` runs, and the runs of all cases interleave, so drift
 of the host spreads over every case alike.  ``--root`` names the checkout
 whose ``src/`` is imported (default: the one holding this script), so two
@@ -36,7 +42,8 @@ DEGREES = 1024
 BUDGET, MAX_REPS, RUNS = 2_000_000, 40, 9
 CASES = [(ens, kind, m) for ens in ("free", "power_decay(0.3, 2)")
          for kind, m in (("real", 1), ("real", 33), ("real", 957), ("real", 4001),
-                         ("complex", 800), ("complex", 7000), ("contour", 800))]
+                         ("complex", 800), ("complex", 7000), ("contour", 800),
+                         ("intensity", 800))]
 
 
 def _grid(np, kind, m):
@@ -69,6 +76,8 @@ def main(argv=None):
     def run_case(a, kind, z):
         if kind == "contour":  # E[P'/P] over degrees 0..DEGREES-1
             intensity.log_derivative_grid(a, DEGREES, z)
+        elif kind == "intensity":  # the complex intensity, same degrees
+            intensity.complex_intensity_grid(a, DEGREES, z)
         else:
             collections.deque(szego._sweep(a, z), maxlen=0)
 
@@ -81,10 +90,10 @@ def main(argv=None):
             for _ in range(reps):
                 run_case(a, kind, z)
             times[ens, kind, m].append((time.perf_counter() - t0) / (reps * DEGREES * m))
-    print("%-20s %-8s %6s %10s" % ("ensemble", "dtype", "points", "ns/pt-step"))
+    print("%-20s %-9s %6s %10s" % ("ensemble", "dtype", "points", "ns/pt-step"))
     for ens, kind, m in CASES:
         ns = 1e9 * statistics.median(times[ens, kind, m])
-        print("%-20s %-8s %6d %10.2f" % (ens, kind, m, ns))
+        print("%-20s %-9s %6d %10.2f" % (ens, kind, m, ns))
     return 0
 
 
