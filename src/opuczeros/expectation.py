@@ -98,6 +98,8 @@ class ScalingWindow:
     tau2: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.tau1) and math.isfinite(self.tau2)):
+            raise OutOfDomainError("scaling window needs finite tau1 and tau2")
         if not self.tau1 < self.tau2:
             raise OutOfDomainError("scaling window needs tau1 < tau2")
         if not 0.0 < self.theta2 - self.theta1 <= 2.0 * math.pi:

@@ -7,7 +7,7 @@ away from their respective degeneracies and tests enforce this.  The kernel
 route and E[P'/P] are term functions folded over one Szegő sweep by
 ``szego._fold``, which owns the rescale mirroring.  Where the coefficients
 end in zeros, every route stops the sweep there and adds the tail in closed
-form (``_zero_tail``) or by doubling (``_geometric``, ``kernels._geometric_sums``).
+form (``_zero_tail``) or by ``szego._doubling`` with their own block algebra.
 """
 
 import itertools
@@ -18,13 +18,15 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .kernels import kernel_bundle, reversed_kernel_bundle
-from .szego import _fold, _sweep, _tail_start, as_verblunsky, evaluate
+from .szego import _doubling, _fold, _sweep, _tail_start, as_verblunsky, evaluate
 
 # dispatch from the closed form to the kernel form near x = +-1
 CLOSED_CUTOFF = 1e-3
 # complex intensity denominator floor after unscaling (log scale)
 _DEGENERACY_LOG_FLOOR = math.log(1e-300)
 _TINY = np.finfo(float).tiny
+# the block ([C, D], p, q, s, e) of the row w_0 = 1, w_0' = 0, broadcasting
+_UNIT = (np.zeros((2, 1), dtype=complex), np.ones(1), np.zeros(1), np.zeros(1), 0.0)
 
 
 @dataclass
@@ -309,16 +311,6 @@ def _real_rho(alpha, n, x, closed):
     return out
 
 
-def real_intensity_kernel(alpha, n, x):
-    rho = real_intensity_kernel_grid(alpha, n, [float(x)])[0]
-    return IntensityValue(float(x), float(rho), "kernel_form")
-
-
-def real_intensity_closed(alpha, n, x):
-    rho = real_intensity_closed_grid(alpha, n, [float(x)])[0]
-    return IntensityValue(float(x), float(rho), "closed_form")
-
-
 def _bundle_intensity(b, degenerate):
     """Complex intensity from a kernel bundle (three-term formula).
 
@@ -417,25 +409,6 @@ def _join(b1, b2):
             np.hypot(np.hypot(s1, s2), (p1 * q2 - p2 * q1) / p), e)
 
 
-def _geometric(z, n):
-    """The block of the rows z^i, i z^(i-1), i < n, by binary doubling: rows
-    m..2m-1 are rows 0..m-1 turned by lam = z^m and lam m/z, with lam kept as
-    a mantissa times 2^le (no block overflows for |z| > 1)."""
-    zero = np.zeros(z.shape)
-    block, out = (np.zeros((2,) + z.shape, dtype=complex), zero + 1.0, zero, zero, zero), None
-    le = np.frexp(np.abs(z))[1]
-    lam, zi, m = z * np.exp2(-le), 1.0 / z, 1
-    while True:
-        if n & m:  # out, the n mod m rows so far, moves on past this block
-            out = block if out is None else _join(block, _turn(out, lam, lam * (m * zi), le))
-        if 2 * m > n:
-            return out
-        block = _join(block, _turn(block, lam, lam * (m * zi), le))
-        lam = lam * lam
-        k = np.frexp(np.abs(lam))[1]
-        lam, le, m = lam * np.exp2(-k), 2.0 * le + k, 2 * m
-
-
 def _contour_sums(steps, m, tail=None):
     """The sums A, B, C, D of E[P'/P], and K, R, folded over one sweep.
 
@@ -490,8 +463,8 @@ def _contour_sums(steps, m, tail=None):
         def add(state, V, S):  # the sums leave the fold at the joined scale
             cd, k, mu, r, _ = state
             p = np.sqrt(k)
-            cd, p, q, s, _ = _join((cd, p, mu * p, np.sqrt(r), 0.0 * p),
-                                   _turn(_geometric(z, n), V[0], V[1]))
+            cd, p, q, s, _ = _join((cd, p, mu * p, np.sqrt(r), 0.0),
+                                   _turn(_doubling(z, n, _UNIT, _turn, _join)[0], V[0], V[1]))
             return cd, p * p, q / p, s * s, True
     ((c, d), k, mu, r, _), _ = _fold(steps, add, state, powers)
     km = k * mu

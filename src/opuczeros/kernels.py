@@ -5,7 +5,7 @@ fold ``szego._fold`` mirrors every rescale event of the sweep on the
 accumulators, so every returned quantity shares one log-scale exponent.
 Real points sweep in float64, so their sums come back real.  Where the
 coefficients end in zeros the sweep stops there, and the rows past it,
-z^i times the last swept row, are added by binary doubling (O(log n)).
+z^i times the last swept row, are added by ``szego._doubling`` (O(log n)).
 """
 
 import itertools
@@ -15,13 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError
-from .szego import as_verblunsky, evaluate, _fold, _points, _sweep, _tail_start
+from .szego import as_verblunsky, evaluate, _doubling, _fold, _points, _sweep, _tail_start
 
 # CD quotients have a 0/0 structure on z*conj(w) = 1; below this cutoff the
 # direct sum must be used.
 CD_CUTOFF = 1e-4
 
 ScaledKernel = namedtuple("ScaledKernel", ["k", "k10", "k11", "log_scale"])
+
+# the block (A, B, C, D, E, e) of the row w_0 = 1, w_0' = 0
+_UNIT_SUMS = (1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _abs2(v, out=None, t=None):
@@ -75,45 +78,21 @@ def _unpack_complex(sums):
     return k, kb, k10, k10b, k11
 
 
-def _scaled(v, w, e):
-    """v, w, e with v 2^e, w 2^e kept and v moved into [1/2, 1) as far as e >= 0 allows."""
-    k = np.maximum(np.frexp(np.abs(v))[1], -e)
-    f = np.exp2(-k)
-    return v * f, w * f, e + k
-
-
-def _turn_sums(sums, v, dv):
-    """Sums (A, B, C, D, E) of the rows v w_i, v w_i' + dv w_i from those of w_i."""
-    a, b, c, d, e = sums
+def _turn_sums(block, v, dv, de=0.0):
+    """Block (A, B, C, D, E, e) of the rows v w_i, v w_i' + dv w_i from that of the
+    w_i, at e + de; a block holds the sums over 4^e."""
+    a, b, c, d, e = block[:5]
     av, v2, w = _abs2(v), v * v, dv * np.conj(v)
     return (av * a, v2 * b, av * c + w * a, v2 * d + dv * v * b,
-            av * e + _abs2(dv) * a + 2.0 * np.real(np.conj(w) * c))
+            av * e + _abs2(dv) * a + 2.0 * np.real(np.conj(w) * c), block[5] + de)
 
 
-def _join_sums(s1, e1, s2, e2):
-    """The sums of two blocks stored at 4^e1 and 4^e2, added at the larger, into s2."""
-    e = np.maximum(e1, e2)
-    f1, f2 = np.exp2(2.0 * (e1 - e)), np.exp2(2.0 * (e2 - e))
-    return tuple(np.add(x * f1, np.multiply(y, f2, out=y), out=y) for x, y in zip(s1, s2)), e
-
-
-def _geometric_sums(z, n):
-    """Sums of the rows z^i, i z^(i-1), i < n, at 4^e by binary doubling, and z^n,
-    z^(n-1) at 2^pe.  Rows m..2m-1 are rows 0..m-1 turned by lam = z^m and m mu,
-    mu = z^(m-1) (not lam/z: z may be 0), at 2^le: scaled past |z| = 1 only."""
-    zero, one = np.zeros(z.shape), np.ones(z.shape, z.dtype)
-    block, be, out, oe = (zero + 1.0, one, zero * one, zero * one, zero), zero, None, None
-    (lam, mu, le), (pw, pw1, pe), m = _scaled(z, one, zero), (one, one, zero), 1
-    while True:
-        if n & m:  # out, the n mod m rows so far, moves on past this block
-            out, oe = (block, be) if out is None else _join_sums(
-                block, be, _turn_sums(out, lam, m * mu), oe + le)
-            pw, pw1, pe = _scaled(pw * lam, pw * mu, pe + le)
-        if 2 * m > n:
-            return out, oe, (pw, pw1, pe)
-        block, be = _join_sums(block, be, _turn_sums(block, lam, m * mu), be + le)
-        lam, mu, le = _scaled(lam * lam, lam * mu, 2.0 * le)
-        m *= 2
+def _join_sums(b1, b2):
+    """The sums of both blocks' rows, at the larger scale, into b2."""
+    e = np.maximum(b1[-1], b2[-1])
+    f1, f2 = np.exp2(2.0 * (b1[-1] - e)), np.exp2(2.0 * (b2[-1] - e))
+    return tuple(np.add(x * f1, np.multiply(y, f2, out=y), out=y)
+                 for x, y in zip(b1[:-1], b2[:-1])) + (e,)
 
 
 def _kernel_sums(alpha, n, z, terms, unpack, reverse=False):
@@ -124,7 +103,7 @@ def _kernel_sums(alpha, n, z, terms, unpack, reverse=False):
     the five sums (K(z, z), K(z, conj z), K^{(1,0)}(z, z),
     K^{(1,0)}(z, conj z), K^{(1,1)}(z, z)).  Every sum is quadratic in the
     sweep values.  Where alpha_k = 0 from k = K on and N = n - K >= 2, the
-    sweep stops at K: the rows past K are _geometric_sums turned by [phi_K,
+    sweep stops at K: the rows past K are _doubling's block turned by [phi_K,
     phi_K'] (reverse: by [phi^*_K, phi^*_K'], and the rows below K by u^N).
     """
     if n < 1:
@@ -140,10 +119,9 @@ def _kernel_sums(alpha, n, z, terms, unpack, reverse=False):
     if kk < n:  # degree K, copied: the terms' and the sweep's buffers go before the tail
         add = lambda st, P, S: st[:5] + ((S if reverse else P).copy(),)
         (*h, v), ls = _fold(steps, add, sums + (None,), (2,) * 5 + (0,))
-        g, ge, (pw, pw1, pe) = _geometric_sums(zz, n - kk)
-        if reverse:
-            h = _turn_sums(h, pw, (n - kk) * pw1)
-        sums, e = _join_sums(h, pe if reverse else 0.0, _turn_sums(g, v[0], v[1]), ge)
+        g, (pw, pw1, pe) = _doubling(zz, n - kk, _UNIT_SUMS, _turn_sums, _join_sums)
+        h = _turn_sums((*h, 0.0), pw, (n - kk) * pw1, pe) if reverse else (*h, 0.0)
+        *sums, e = _join_sums(h, _turn_sums(g, v[0], v[1]))
         log_scale = log_scale + ls + e * np.log(2.0)
     k, kb, k10, k10b, k11 = sums
     ls = 2.0 * log_scale

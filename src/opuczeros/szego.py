@@ -30,7 +30,8 @@ kernel route keeps the rows of a block of degrees and merges them at once,
 see ``intensity._kernel_fold``), ratios p = 0.  The kernel sums and
 ``evaluate`` add one degree at a time, bit-identical to a per-step
 reference; the kernel sums and E[P'/P] stop at a zero tail and add it by
-doubling, and E[P'/P] derives two of its sums (``intensity._contour_sums``).
+``_doubling``, each with its own block algebra, and E[P'/P] derives two of
+its sums (``intensity._contour_sums``).
 
 The range check ``_rescale`` runs only when a mantissa could leave
 [1e-100, 1e100].  Per step the largest of the four moduli grows by at most
@@ -284,6 +285,37 @@ def _tail_start(a, n):
     """K, the index after the last nonzero of a, if N = n - K >= 2 zeros follow; else n."""
     k = len(a) if len(a) and a[-1] else int(np.flatnonzero(a)[-1]) + 1 if np.any(a) else 0
     return k if k <= n - 2 else n
+
+
+def _scaled(v, w, e):
+    """v, w, e with v 2^e, w 2^e kept and v moved into [1/2, 1) as far as e >= 0 allows."""
+    k = np.maximum(np.frexp(np.abs(v))[1], -e)
+    f = np.exp2(-k)
+    return v * f, w * f, e + k
+
+
+def _doubling(z, n, unit, turn, join):
+    """The block of the rows z^i, i z^(i-1), i < n, by binary doubling, and z^n, z^(n-1) at 2^pe.
+
+    A block ends in its power-of-2 exponent e; unit is row 0, (1, 0), at e = 0,
+    in fields that broadcast against z.  turn(block, v, dv, de) holds the rows
+    v w_i, v w_i' + dv w_i at e + de, join(b1, b2) both blocks' rows (it may
+    write into b2).  Rows m..2m-1 are rows 0..m-1 turned by lam = z^m and m mu,
+    mu = z^(m-1) (not lam/z), at 2^le: scaled past |z| = 1 only, z = 0 and
+    subnormal z need no case.
+    """
+    zero, one = np.zeros(z.shape), np.ones(z.shape, z.dtype)
+    block, out = unit, None
+    (lam, mu, le), (pw, pw1, pe), m = _scaled(z, one, zero), (one, one, zero), 1
+    while True:
+        if n & m:  # out, the n mod m rows so far, moves on past this block
+            out = block if out is None else join(block, turn(out, lam, m * mu, le))
+            pw, pw1, pe = _scaled(pw * lam, pw * mu, pe + le)
+        if 2 * m > n:
+            return out, (pw, pw1, pe)
+        block = join(block, turn(block, lam, m * mu, le))
+        lam, mu, le = _scaled(lam * lam, lam * mu, 2.0 * le)
+        m *= 2
 
 
 def _prefix(log2_steps):

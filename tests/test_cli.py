@@ -222,6 +222,9 @@ def test_input_error_exit_code(capsys):
         # the window's inner radius 1 + tau1/2n is below 0 at n = 16
         ["mc", "--n", "16", "--trials", "50", "--region", "window:0.5:2.5:-40:4"],
         ["expected-zeros", "--n", "16", "--region", "window:0.5:2.5:-40:4"],
+        # an infinite window end once crashed the contour count with a traceback
+        ["expected-zeros", "--n", "16", "--region", "window:0.5:1:-1:inf"],
+        ["mc", "--n", "16", "--trials", "50", "--region", "window:0.5:1:-inf:1"],
         ["scaling-limit", "--tau-grid", "0:1:x"],
         # non-finite grid ends once wrote nan rows with exit 0, and a span
         # end - start that overflows printed numpy warnings first

@@ -176,6 +176,10 @@ def test_region_validation():
         AnnularSector(0.0, 1.0, 1.5)
     with pytest.raises(OutOfDomainError):
         ScalingWindow(0.0, 1.0, 5.0, -5.0)
+    # an infinite window end once passed here and crashed the contour count
+    for tau1, tau2 in ((-1.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)):
+        with pytest.raises(OutOfDomainError, match="finite tau1 and tau2"):
+            ScalingWindow(0.5, 1.0, tau1, tau2)
     with pytest.raises(OutOfDomainError):
         expected_real_zeros(free_seq(), 4, AnnularSector(0.0, 1.0, 0.2))
     # an arc longer than the circle is rejected by the region itself

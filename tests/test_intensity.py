@@ -9,10 +9,8 @@ from opuczeros import (OutOfDomainError, VerblunskySequence, complex_intensity,
 from opuczeros.intensity import (CLOSED_CUTOFF, complex_intensity_grid,
                                  complex_intensity_reversed_grid,
                                  h_alt, h_closed, h_kac,
-                                 real_intensity_closed,
                                  real_intensity_closed_grid,
-                                 real_intensity_grid, real_intensity_kernel,
-                                 real_intensity_kernel_grid)
+                                 real_intensity_grid, real_intensity_kernel_grid)
 from opuczeros.ensembles import constant, free as free_spec, materialize, power_decay
 from opuczeros.kernels import kernel_bundle
 from opuczeros._quad import adaptive_gl
@@ -33,20 +31,20 @@ def test_h_closed_matches_kac():
 
 
 def test_kac_n2_at_origin():
-    assert abs(real_intensity_kernel(free(), 2, 0.0).rho - 1.0 / math.pi) < 1e-13
+    assert abs(real_intensity_kernel_grid(free(), 2, [0.0])[0] - 1.0 / math.pi) < 1e-13
 
 
 def test_degree_zero_has_no_zeros():
     al = VerblunskySequence(values=[0.4])
     for x in (-0.5, 0.0, 0.7, 2.0):
-        assert real_intensity_kernel(al, 1, x).rho == 0.0
+        assert real_intensity_kernel_grid(al, 1, [x])[0] == 0.0
 
 
 def test_kac_n2_density_is_cauchy():
     # degree-1 polynomial: density 1/(pi (1+x^2)), one real zero in total
     for x in (-3.0, -0.4, 0.0, 0.2, 5.0):
         expect = 1.0 / (math.pi * (1.0 + x * x))
-        assert abs(real_intensity_kernel(free(), 2, x).rho - expect) < 1e-13
+        assert abs(real_intensity_kernel_grid(free(), 2, [x])[0] - expect) < 1e-13
     val, err = adaptive_gl(lambda x: real_intensity_grid(free(), 2, x),
                            -1.0, 1.0, tol=1e-12)
     # half the mass is inside (-1,1) by the inversion symmetry
@@ -56,7 +54,7 @@ def test_kac_n2_density_is_cauchy():
 def test_kac_n3_value():
     h = h_kac(3, 0.5)
     assert abs(h - 4.0 / 7.0) < 1e-13
-    rho = real_intensity_closed(free(), 3, 0.5).rho
+    rho = real_intensity_closed_grid(free(), 3, [0.5])[0]
     expect = math.sqrt(1 - (4 / 7) ** 2) / (math.pi * 0.75)
     assert abs(rho - expect) < 1e-13
     assert abs(rho - 0.3482954) < 5e-7
@@ -68,8 +66,8 @@ def test_inversion_symmetry():
         n = int(rng.integers(2, 64))
         al = VerblunskySequence(values=rng.uniform(-0.9, 0.9, n))
         x = rng.uniform(0.05, 0.95) * rng.choice([-1.0, 1.0])
-        lhs = real_intensity_kernel(al, n, 1.0 / x).rho
-        rhs = x * x * real_intensity_kernel(al, n, x).rho
+        lhs = real_intensity_kernel_grid(al, n, [1.0 / x])[0]
+        rhs = x * x * real_intensity_kernel_grid(al, n, [x])[0]
         assert abs(lhs - rhs) <= 1e-10 * max(rhs, 1e-15)
 
 
@@ -94,8 +92,8 @@ def test_real_route_agreement():
         x = rng.uniform(-2.0, 2.0)
         if abs(1.0 - x * x) <= 1e-3:
             continue
-        a = real_intensity_kernel(al, n, x).rho
-        b = real_intensity_closed(al, n, x).rho
+        a = real_intensity_kernel_grid(al, n, [x])[0]
+        b = real_intensity_closed_grid(al, n, [x])[0]
         assert abs(a - b) <= 1e-8 * max(a, 1e-15)
 
 
@@ -187,7 +185,7 @@ def test_limit_real_density():
     assert abs(limit_real_density(3.0) - 1.0 / (8 * math.pi)) < 1e-15
     # quadratic-decay coefficients converge toward the same limit
     al = materialize(power_decay(0.3, 2), 512)
-    rho = real_intensity_closed(al, 512, 0.5).rho
+    rho = real_intensity_closed_grid(al, 512, [0.5])[0]
     assert abs(rho - 4.0 / (3.0 * math.pi)) <= 0.02 * 4.0 / (3.0 * math.pi)
 
 
@@ -274,10 +272,10 @@ def test_grid_matches_scalar():
     xs = np.array([-0.7, 0.1, 0.6])
     grid = real_intensity_closed_grid(al, 4, xs)
     for x, g in zip(xs, grid):
-        assert abs(g - real_intensity_closed(al, 4, x).rho) < 1e-14
+        assert abs(g - real_intensity_closed_grid(al, 4, [x])[0]) < 1e-14
     gridk = real_intensity_kernel_grid(al, 4, xs)
     for x, g in zip(xs, gridk):
-        assert abs(g - real_intensity_kernel(al, 4, x).rho) < 1e-14
+        assert abs(g - real_intensity_kernel_grid(al, 4, [x])[0]) < 1e-14
 
 
 def test_exterior_intensity_is_finite_and_self_consistent():

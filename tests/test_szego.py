@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from opuczeros import InvalidCoefficientError, VerblunskySequence, evaluate, szego
 from opuczeros.szego import blaschke, kappa_log, regularity_epsilon
 from opuczeros.ensembles import constant, free, materialize, power_decay
-from opuczeros.intensity import (_BLOCK, CLOSED_CUTOFF, _closed_rho, _inverted,
-                                 _kernel_fold, _residual_step,
+from opuczeros.intensity import (_BLOCK, CLOSED_CUTOFF, _UNIT, _closed_rho, _inverted,
+                                 _join, _kernel_fold, _residual_step, _turn,
                                  real_intensity_grid, real_intensity_kernel_grid)
-from opuczeros.kernels import (kernel_bundle, kernel_direct,
-                               reversed_kernel_bundle)
+from opuczeros.kernels import (_UNIT_SUMS, _join_sums, _turn_sums, kernel_bundle,
+                               kernel_direct, reversed_kernel_bundle)
 
 _TINY = np.finfo(float).tiny
 
@@ -603,3 +604,68 @@ def test_sweep_does_not_depend_on_the_grid_width(dtype, tail):
             assert all(_same_bytes(getattr(b1, f), getattr(b, f)[i:i + 1]) for f in sums)
     # the grids reach values that rescale
     assert np.any(ev.log_scale != 0.0)
+
+
+def _direct_tail(z, n):
+    """Exact sums (A, B, C, D, E), factor (p, q, s) and (z^n, z^(n-1)) of the
+    rows z^i, i z^(i-1), i < n.
+
+    z is an exact number (a Fraction, or a complex with integer parts on the
+    unit circle), so the sums and powers are exact; p = sqrt(K),
+    q = sum x y/sqrt(K) and s = sqrt(R) of the regression of y on x,
+    v = x + iy, round once.
+    """
+    v, dv = [z ** 0], [0 * z]
+    for i in range(1, n + 1):  # complex ** int is inexact past 100
+        v.append(v[-1] * z)
+        dv.append(i * v[-2])
+    power = (complex(v[n]), complex(v[n - 1]))
+    v, dv = v[:n], dv[:n]
+    cv, cdv = [w.conjugate() for w in v], [w.conjugate() for w in dv]
+    sums = [sum(a * b for a, b in zip(x, y)) for x, y in
+            ((v, cv), (v, v), (dv, cv), (dv, v), (dv, cdv))]
+    k = sum(w.real ** 2 for w in v)
+    kxy = sum(w.real * w.imag for w in v)
+    r = sum(w.imag ** 2 for w in v) - kxy * kxy / k
+    return ([complex(x) for x in sums],
+            (math.sqrt(k), float(kxy) / math.sqrt(k), math.sqrt(r)), power)
+
+
+@pytest.mark.parametrize("algebra", ["raw_sums", "factored"])
+def test_doubling_matches_direct_sums_at_every_tail_length(algebra):
+    # every tail length N = 2..200 takes its own path through the binary
+    # digits of N.  At 0, 1, -1 and 1j every sum is a small integer and every
+    # power of 2 is exact, so the raw sums must come back exact and the
+    # factor within a few ulps; 2 and 0.5 scale past and inside the disk
+    exact = (0, 1, -1, 1j, Fraction(2), Fraction(1, 2))
+    z = np.array([complex(x) for x in exact])
+    if algebra == "raw_sums":
+        unit, turn, join = _UNIT_SUMS, _turn_sums, _join_sums
+    else:
+        unit, turn, join = _UNIT, _turn, _join
+    eps = np.finfo(float).eps
+    for n in range(2, 201):
+        block, (pw, pw1, pe) = szego._doubling(z, n, unit, turn, join)
+        e = block[-1]
+        if algebra == "raw_sums":
+            got = [x * np.exp2(2.0 * e) for x in block[:5]]
+        else:
+            (c, d), p, q, s = block[:4]
+            got = [x * np.exp2(2.0 * e) for x in (c, d)] + [x * np.exp2(e) for x in (p, q, s)]
+        for j, x in enumerate(exact):
+            sums, factor, power = _direct_tail(x, n)
+            a, e2 = sums[0].real, sums[4].real
+            if algebra == "raw_sums":
+                want, scale = sums, [a, a, math.sqrt(a * e2), math.sqrt(a * e2), e2]
+            else:
+                want = sums[2:4] + list(factor)
+                scale = [math.sqrt(a * e2)] * 2 + [math.sqrt(a)] * 3
+            if j < 4:
+                tol = 0.0 if algebra == "raw_sums" else 4.0 * eps
+            else:
+                tol = 1e-15
+            for g, w, sc in zip(got, want, scale):
+                assert abs(g[j] - w) <= tol * sc, (algebra, n, x, g[j], w)
+            for g, w in zip((pw[j], pw1[j]), power):
+                g = g * np.exp2(pe[j])
+                assert abs(g - w) <= (0.0 if j < 4 else 1e-15) * abs(w), (n, x)
