@@ -82,12 +82,12 @@ def _header_lines(config):
 
 
 def _write_csv(path, config, columns, rows):
-    lines = _header_lines(config)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v)
-                              for v in row))
+    """rows: tuples of one type signature; floats print as %.17g, the rest as str."""
+    lines = _header_lines(config) + [",".join(columns)]
     text = "\n".join(lines) + "\n"
+    if rows:
+        fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+        text += "".join(fmt % row for row in rows)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -320,9 +320,14 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built once, on the first call, and reused
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         args = _resolve_flags(args)
         args.func(args)

@@ -296,11 +296,13 @@ def _real_rho(alpha, n, x, closed):
             P, S, sc = next(steps)
             k, r = _zero_tail(k, mu, r, P[:, m:], None if sc is None else sc[m:],
                               u[~closed], n - kk)
-        if not np.all((k > 0.0) & np.isfinite(r)):
+        with np.errstate(all="ignore"):  # an inf or nan quotient raises below
+            q = r / k
+        if not np.all((k > 0.0) & np.isfinite(q)):
             raise OutOfDomainError("K_n(x, x) underflowed against K_n^(1,1)(x, x) "
                                    "at the requested point; too close to x = +-1 "
                                    "for this n")
-        out[~closed] = _uninverted(np.sqrt(r / k) / np.pi, x[~closed])
+        out[~closed] = _uninverted(np.sqrt(q) / np.pi, x[~closed])
     if m:
         for P, S, _ in steps:  # on to degree kc (none left if the kernel took it)
             pass

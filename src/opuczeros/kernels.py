@@ -78,17 +78,20 @@ def _unpack_complex(sums):
     return k, kb, k10, k10b, k11
 
 
-def _turn_sums(block, v, dv, de=0.0):
+def _turn_sums(block, v, dv, de=None):
     """Block (A, B, C, D, E, e) of the rows v w_i, v w_i' + dv w_i from that of the
-    w_i, at e + de; a block holds the sums over 4^e."""
+    w_i, at e + de (at e itself when de is None); a block holds the sums over 4^e."""
     a, b, c, d, e = block[:5]
     av, v2, w = _abs2(v), v * v, dv * np.conj(v)
     return (av * a, v2 * b, av * c + w * a, v2 * d + dv * v * b,
-            av * e + _abs2(dv) * a + 2.0 * np.real(np.conj(w) * c), block[5] + de)
+            av * e + _abs2(dv) * a + 2.0 * np.real(np.conj(w) * c),
+            block[5] if de is None else block[5] + de)
 
 
 def _join_sums(b1, b2):
     """The sums of both blocks' rows, at the larger scale, into b2."""
+    if np.array_equal(b1[-1], b2[-1]):  # one scale: the factors would be 1
+        return tuple(np.add(x, y, out=y) for x, y in zip(b1[:-1], b2[:-1])) + (b2[-1],)
     e = np.maximum(b1[-1], b2[-1])
     f1, f2 = np.exp2(2.0 * (b1[-1] - e)), np.exp2(2.0 * (b2[-1] - e))
     return tuple(np.add(x * f1, np.multiply(y, f2, out=y), out=y)

@@ -288,8 +288,14 @@ def _tail_start(a, n):
 
 
 def _scaled(v, w, e):
-    """v, w, e with v 2^e, w 2^e kept and v moved into [1/2, 1) as far as e >= 0 allows."""
+    """v, w, e with v 2^e, w 2^e kept and v moved into [1/2, 1) as far as e >= 0 allows.
+
+    Where no point moves (every |v| < 1 at e = 0, as inside the disk), the
+    inputs themselves.
+    """
     k = np.maximum(np.frexp(np.abs(v))[1], -e)
+    if not k.any():
+        return v, w, e
     f = np.exp2(-k)
     return v * f, w * f, e + k
 

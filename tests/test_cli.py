@@ -1,9 +1,17 @@
 import json
 import math
+import os
+import pathlib
+import re
+import shlex
+import subprocess
+import sys
 
 import numpy as np
 
-from opuczeros.cli import main
+from opuczeros.cli import _write_csv, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def read_csv(path):
@@ -232,6 +240,9 @@ def test_input_error_exit_code(capsys):
         ["scaling-limit", "--tau-grid=-inf:1:3"],
         ["scaling-limit", "--tau-grid=0:inf:3"],
         ["intensity", "--n", "8", "--real-grid=-1e308:1e308:3"],
+        # K^(1,1)/K overflows at x = 1 while K is normal: the row once read
+        # 1,inf,nan with exit code 0
+        ["intensity", "--ensemble", "constant:0.9", "--n", "256", "--real-grid=0.5:1:3"],
     ]
     for command in ("expected-zeros", "conservation-check"):
         cases += [[command, "--n", "4", "--tolerance", tol]
@@ -365,3 +376,73 @@ def test_stdout_when_no_out(capsys):
     assert rc == 0
     captured = capsys.readouterr().out
     assert captured.startswith("# opuczeros")
+
+
+def _readme_commands():
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
+
+
+def _out_to(argv, path):
+    """argv writing to path in place of its own --out, if any."""
+    if "--out" in argv:
+        i = argv.index("--out")
+        argv = argv[:i] + argv[i + 2:]
+    return argv + ["--out", str(path)]
+
+
+def test_reused_parser_writes_what_a_fresh_process_writes(tmp_path, capsys):
+    # main() builds its parser once per process; every README command run
+    # twice in this process, with a failed command and a --config run in
+    # between, writes the bytes a fresh process writes
+    commands = _readme_commands()
+    assert len(commands) == 9
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    fresh = []
+    for i, argv in enumerate(commands):
+        path = tmp_path / ("fresh%d" % i)
+        subprocess.run([sys.executable, "-m", "opuczeros.cli"] + _out_to(argv, path),
+                       check=True, env=env, cwd=tmp_path, timeout=300)
+        fresh.append(path.read_bytes())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ensemble": "constant:0.5", "n": 16}))
+    for rerun in range(2):
+        for i, argv in enumerate(commands):
+            path = tmp_path / ("run%d-%d" % (rerun, i))
+            assert main(_out_to(argv, path)) == 0, argv
+            assert path.read_bytes() == fresh[i], argv
+        assert main(["intensity", "--n", "x", "--real-grid=0:1:3"]) == 2
+        assert main(["para-spectrum", "--config", str(cfg), "--out",
+                     str(tmp_path / "cfg.csv")]) == 0
+    capsys.readouterr()
+
+
+def _per_value_csv(rows):
+    """The rows as the CLI formatted them value by value: %.17g floats, str the rest."""
+    return "".join(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row) + "\n"
+                   for row in rows)
+
+
+def test_csv_rows_keep_their_per_value_format(tmp_path):
+    rows = [(3, 0.1, -0.0), (10 ** 20, float("inf"), float("nan")),
+            (-7, np.float64(1e-300), 2.0 ** 0.5)]
+    path = tmp_path / "rows.csv"
+    _write_csv(str(path), {"command": "test"}, ["k", "a", "b"], rows)
+    assert path.read_text().split("k,a,b\n", 1)[1] == _per_value_csv(rows)
+    _write_csv(str(path), {"command": "test"}, ["k"], [])
+    assert path.read_text().endswith("\nk\n")
+
+
+def test_integer_columns_keep_their_bytes(tmp_path):
+    # expected-zeros (n) and mc --roots-csv (trial) mix an integer column
+    # with floats; each line reads back as its per-value formatting
+    ez, mc, roots = tmp_path / "ez.csv", tmp_path / "mc.json", tmp_path / "roots.csv"
+    assert main(["expected-zeros", "--n", "4,8", "--out", str(ez)]) == 0
+    assert main(["mc", "--n", "6", "--trials", "12", "--seed", "2", "--out", str(mc),
+                 "--roots-csv", str(roots)]) == 0
+    for path, width in ((ez, 4), (roots, 3)):
+        _, _, rows = read_csv(path)
+        parsed = [(int(r[0]),) + tuple(float(v) for v in r[1:]) for r in rows]
+        assert all(len(r) == width for r in parsed)
+        assert path.read_text().endswith("\n" + _per_value_csv(parsed))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -324,6 +325,18 @@ def test_fused_grid_is_bit_identical_to_the_two_routes():
     for route in (real_intensity_grid, real_intensity_kernel_grid):
         with pytest.raises(OutOfDomainError):
             route(al, 2000, [0.5, 1.0])
+
+
+@pytest.mark.parametrize("a, n", [(0.9, 256), (0.5, 839)])
+def test_kernel_route_raises_where_its_quotient_overflows(a, n):
+    # K_n(1, 1) is still a normal float but K^(1,1)/K overflows: the grid
+    # once returned inf at x = 1, with a RuntimeWarning
+    al = materialize(constant(a), n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (real_intensity_grid, real_intensity_kernel_grid):
+            with pytest.raises(OutOfDomainError, match="underflowed"):
+                route(al, n, [0.5, 1.0])
 
 
 def test_kernel_route_near_a_spike_matches_high_precision():
