@@ -82,12 +82,12 @@ def _header_lines(config):
 
 
 def _write_csv(path, config, columns, rows):
-    """rows: tuples of one type signature; floats print as %.17g, the rest as str."""
-    lines = _header_lines(config) + [",".join(columns)]
+    lines = _header_lines(config)
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v)
+                              for v in row))
     text = "\n".join(lines) + "\n"
-    if rows:
-        fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
-        text += "".join(fmt % row for row in rows)
     if path is None:
         sys.stdout.write(text)
     else:

@@ -4,14 +4,9 @@ Phi_n(z; beta) = z Phi_{n-1}(z) - beta Phi_{n-1}^*(z) with beta = +-1 here.
 All zeros are simple and lie on the unit circle; the attached weights
 |phi_{n-1}(zeta)|^2 / K_n(zeta, zeta) sum to one.
 
-The zeros are the eigenvalues of the GGT matrix G with alpha_{n-1} = 1 from
-``szego.ggt_matrix``, the builder the Monte Carlo sampler uses.  For real
-coefficients G is real orthogonal, so they come from one symmetric
-eigensolve of S = G + G^T (Ammar, Gragg and Reichel, 1986): S has the
-eigenvalues 2 cos(theta), a conjugate pair e^(+-i theta) shares a
-2-dimensional eigenspace, and the angle is read from the rotation that G
-restricts to on it, not from arccos, which loses half the digits next to
-z = +-1.  The weights are one fold over one Szegő sweep at the zeros.
+The zeros are the eigenvalues of the unitary GGT matrix with alpha_{n-1} = 1
+from ``szego.ggt_matrix``, the builder the Monte Carlo sampler uses, and the
+weights one fold over one Szegő sweep at the zeros.
 """
 
 from dataclasses import dataclass, field
@@ -22,8 +17,6 @@ from .errors import OutOfDomainError, RootFindingError
 from .szego import _TINY, _fold, _sweep, as_verblunsky, evaluate, ggt_matrix
 
 _CIRCLE_TOL = 1e-8
-# eigenvalues of S closer than this times n belong to one eigenspace of G
-_GROUP_TOL = 8.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -43,47 +36,19 @@ def para_poly(alpha, n, beta, z):
     return val * np.exp(ev.log_scale - ev.kappa_log)
 
 
-def _orthogonal_eigenvalues(G):
-    """The eigenvalues of the real orthogonal G, unimodular, from eigh of S = G + G^T.
-
-    S's eigenvalues closer than _GROUP_TOL n group into one eigenspace of
-    G, and W = V^T (G V) restricted to it is the rotation G acts by there.
-    A group of two, e^(+-i theta), takes theta = atan2(sin, cos) from the
-    rotation's 2 x 2 block, a group of one (S = +-2) the sign of its entry,
-    and a larger group, where distinct pairs fell within the tolerance, the
-    eigenvalues of its block.  A root further than _CIRCLE_TOL from the
-    circle (a block that is no rotation) raises RootFindingError.
-    """
-    n = len(G)
-    lam, V = np.linalg.eigh(G + G.T)
-    W = V.T @ (G @ V)
-    starts = np.append(0, np.flatnonzero(np.diff(lam) > _GROUP_TOL * n) + 1)
-    sizes = np.diff(np.append(starts, n))
-    diag = W.diagonal()
-    j = starts[sizes == 2]
-    # W[j+1, j] - W[j, j+1] is 2 sin(theta) up to the orientation of the basis
-    cos, sin = 0.5 * (diag[j] + diag[j + 1]), 0.5 * np.abs(W[j + 1, j] - W[j, j + 1])
-    theta = np.arctan2(sin, cos)
-    single = diag[starts[sizes == 1]]
-    roots = [np.exp(1j * theta), np.exp(-1j * theta), np.sign(single) + 0j]
-    radii = [np.hypot(cos, sin), np.abs(single)]
-    for i, m in zip(starts[sizes > 2], sizes[sizes > 2]):
-        ev = np.linalg.eigvals(W[i:i + m, i:i + m])
-        roots.append(ev / np.abs(ev))
-        radii.append(np.abs(ev))
-    stray = np.max(np.abs(np.concatenate(radii) - 1.0))
-    if stray > _CIRCLE_TOL:
-        raise RootFindingError("root strayed from the unit circle by %.3g" % stray)
-    return np.concatenate(roots)
-
-
 def para_spectrum(alpha, n):
     """Zeros of Phi_n(z; 1) on the unit circle with sigma_n weights."""
     if n < 1:
         raise OutOfDomainError("paraorthogonal polynomials need n >= 1")
     a = as_verblunsky(alpha).array(n - 1)
-    zeros = _orthogonal_eigenvalues(ggt_matrix(np.append(a, 1.0))[0])
-    zeros = zeros[np.argsort(np.angle(zeros))]
+    roots = np.asarray(np.linalg.eigvals(ggt_matrix(np.append(a, 1.0))[0]), dtype=complex)
+    radii = np.abs(roots)
+    if np.any(np.abs(radii - 1.0) > _CIRCLE_TOL):
+        raise RootFindingError("root strayed from the unit circle by %.3g"
+                               % float(np.max(np.abs(radii - 1.0))))
+    zeros = roots / radii
+    order = np.argsort(np.angle(zeros))
+    zeros = zeros[order]
     if n > 1 and np.min(np.abs(np.diff(np.concatenate(
             [np.angle(zeros), [np.angle(zeros[0]) + 2 * np.pi]])))) < 1e-9:
         raise RootFindingError("zeros are not numerically distinct")

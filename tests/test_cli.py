@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from opuczeros.cli import _write_csv, main
+from opuczeros.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -416,33 +416,3 @@ def test_reused_parser_writes_what_a_fresh_process_writes(tmp_path, capsys):
         assert main(["para-spectrum", "--config", str(cfg), "--out",
                      str(tmp_path / "cfg.csv")]) == 0
     capsys.readouterr()
-
-
-def _per_value_csv(rows):
-    """The rows as the CLI formatted them value by value: %.17g floats, str the rest."""
-    return "".join(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row) + "\n"
-                   for row in rows)
-
-
-def test_csv_rows_keep_their_per_value_format(tmp_path):
-    rows = [(3, 0.1, -0.0), (10 ** 20, float("inf"), float("nan")),
-            (-7, np.float64(1e-300), 2.0 ** 0.5)]
-    path = tmp_path / "rows.csv"
-    _write_csv(str(path), {"command": "test"}, ["k", "a", "b"], rows)
-    assert path.read_text().split("k,a,b\n", 1)[1] == _per_value_csv(rows)
-    _write_csv(str(path), {"command": "test"}, ["k"], [])
-    assert path.read_text().endswith("\nk\n")
-
-
-def test_integer_columns_keep_their_bytes(tmp_path):
-    # expected-zeros (n) and mc --roots-csv (trial) mix an integer column
-    # with floats; each line reads back as its per-value formatting
-    ez, mc, roots = tmp_path / "ez.csv", tmp_path / "mc.json", tmp_path / "roots.csv"
-    assert main(["expected-zeros", "--n", "4,8", "--out", str(ez)]) == 0
-    assert main(["mc", "--n", "6", "--trials", "12", "--seed", "2", "--out", str(mc),
-                 "--roots-csv", str(roots)]) == 0
-    for path, width in ((ez, 4), (roots, 3)):
-        _, _, rows = read_csv(path)
-        parsed = [(int(r[0]),) + tuple(float(v) for v in r[1:]) for r in rows]
-        assert all(len(r) == width for r in parsed)
-        assert path.read_text().endswith("\n" + _per_value_csv(parsed))
