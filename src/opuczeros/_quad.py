@@ -170,14 +170,12 @@ def _edges(lo, hi, splits):
     return sorted({float(lo), float(hi), *(float(s) for s in splits if lo < s < hi)})
 
 
-def adaptive_gl(f, a, b, tol=1e-9, splits=(), order=16, max_panels=4000):
-    """Integrate vectorized f over [a, b]; returns (value, error_estimate)."""
-    return _adaptive(f, [_edges(a, b, splits)], tol, order, max_panels)
+def adaptive_gl(f, a, b, tol=1e-9, splits=(), max_panels=4000):
+    """Integrate vectorized f over [a, b] by G16/K33; returns (value, error_estimate)."""
+    return _adaptive(f, [_edges(a, b, splits)], tol, 16, max_panels)
 
 
-def adaptive_gl_2d(f2, xrange, yrange, tol=1e-6, xsplits=(), ysplits=(),
-                   order=8, max_rects=2000):
-    """Tensor-product adaptive Gauss-Kronrod over a rectangle; f2(x, y) vectorized flat."""
+def adaptive_gl_2d(f2, xrange, yrange, tol=1e-6, xsplits=(), ysplits=(), max_rects=2000):
+    """Tensor-product adaptive G8/K17 over a rectangle; f2(x, y) vectorized flat."""
     (a, b), (c, d) = xrange, yrange
-    return _adaptive(f2, [_edges(a, b, xsplits), _edges(c, d, ysplits)], tol,
-                     order, max_rects)
+    return _adaptive(f2, [_edges(a, b, xsplits), _edges(c, d, ysplits)], tol, 8, max_rects)

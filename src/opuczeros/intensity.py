@@ -65,13 +65,10 @@ def h_closed(alpha, n, x):
 
 def h_alt(alpha, n, x):
     """Alternative h_n via the shifted Blaschke product z*b_{n-1}(z)."""
+    # g = x b_{n-1} = (x phi)/phi^* and g' = b + x b' through _h's quotient rule
     x = np.asarray(x, dtype=float)
     ev = evaluate(alpha, n - 1, x)
-    b = ev.phi / ev.phi_star
-    db = (ev.dphi * ev.phi_star - ev.phi * ev.dphi_star) / (ev.phi_star * ev.phi_star)
-    g = x * b
-    dg = b + x * db
-    return np.real((1.0 - x * x) * dg / (1.0 - g * g))
+    return _h(x * ev.phi, ev.phi_star, ev.phi + x * ev.dphi, ev.dphi_star, x)
 
 
 def _residual_step(k, mu, r, x, y, scratch):

@@ -73,18 +73,15 @@ def _complex_terms(zz):
     return add, (np.zeros_like(t), np.zeros_like(c2), np.zeros_like(c2[0]))
 
 
-def _unpack_complex(sums):
-    (k, k11), (kb, k10b), k10 = sums
-    return k, kb, k10, k10b, k11
-
-
 def _turn_sums(block, v, dv, de=None):
     """Block (A, B, C, D, E, e) of the rows v w_i, v w_i' + dv w_i from that of the
-    w_i, at e + de (at e itself when de is None); a block holds the sums over 4^e."""
+    w_i, at e + de (at e itself when de is None); a block holds the sums over 4^e.
+    It turns the reversed head by (u, 1), the doubling's rows by (z^M, M z^(M-1)),
+    the tail by [phi_K, phi_K'] and the reversed rows below K by u^N."""
     a, b, c, d, e = block[:5]
     av, v2, w = _abs2(v), v * v, dv * np.conj(v)
     return (av * a, v2 * b, av * c + w * a, v2 * d + dv * v * b,
-            av * e + _abs2(dv) * a + 2.0 * np.real(np.conj(w) * c),
+            _abs2(dv) * a + 2.0 * np.real(np.conj(w) * c) + av * e,
             block[5] if de is None else block[5] + de)
 
 
@@ -98,27 +95,38 @@ def _join_sums(b1, b2):
                  for x, y in zip(b1[:-1], b2[:-1])) + (e,)
 
 
-def _kernel_sums(alpha, n, z, terms, unpack, reverse=False):
+def _promoted(add, u):
+    """add, _complex_terms' fold, of the row phi^*_i after the earlier rows turn by
+    (u, 1): one degree on, each psi_j(u) = u^(n-1-j) phi_j^*(u) gains a factor u."""
+    def promote(sums, P, S):
+        s1, s2, k10 = sums
+        turned = _turn_sums((s1[0], s2[0], k10, s2[1], s1[1], 0.0), u, 1.0)
+        s1[0], s2[0], k10[...], s2[1], s1[1] = turned[:5]
+        return add(sums, S, P)
+
+    return promote
+
+
+def _kernel_sums(alpha, n, z, reverse=False):
     """KernelBundle of the sums over i = 0..n-1, folded over one sweep at z.
 
-    terms(zz) returns (add, sums): add(sums, P, S) folds the degree-i term
-    of the stacked sweep values into the zeroed sums; unpack(sums) returns
-    the five sums (K(z, z), K(z, conj z), K^{(1,0)}(z, z),
-    K^{(1,0)}(z, conj z), K^{(1,1)}(z, z)).  Every sum is quadratic in the
-    sweep values.  Where alpha_k = 0 from k = K on and N = n - K >= 2, the
-    sweep stops at K: the rows past K are _doubling's block turned by [phi_K,
-    phi_K'] (reverse: by [phi^*_K, phi^*_K'], and the rows below K by u^N).
+    Where alpha_k = 0 from k = K on and N = n - K >= 2, the sweep stops at K:
+    the rows past K are _doubling's block turned by [phi_K, phi_K']
+    (reverse: by [phi^*_K, phi^*_K'], and the rows below K by u^N).
     """
     if n < 1:
         raise OutOfDomainError("kernel sums need n >= 1")
     a = as_verblunsky(alpha).array(n - 1)
     kk = _tail_start(a, n)
     zz = _points(z)
-    add, sums = terms(zz)
+    add, sums = _complex_terms(zz)
+    if reverse:  # add is referenced from the closure only, so the tail frees its scratch
+        add = _promoted(add, zz)
     steps, log_scale = _sweep(a[:kk], zz), 0.0
     if kk:
         sums, log_scale = _fold(itertools.islice(steps, kk), add, sums, (2,) * len(sums))
-    sums = unpack(sums)
+    (k, k11), (kb, k10b), k10 = sums
+    sums = (k, kb, k10, k10b, k11)
     if kk < n:  # degree K, copied: the terms' and the sweep's buffers go before the tail
         add = lambda st, P, S: st[:5] + ((S if reverse else P).copy(),)
         (*h, v), ls = _fold(steps, add, sums + (None,), (2,) * 5 + (0,))
@@ -137,7 +145,7 @@ def _kernel_sums(alpha, n, z, terms, unpack, reverse=False):
 
 def kernel_bundle(alpha, n, z):
     """All diagonal/anti-diagonal kernel sums over i = 0..n-1 at z."""
-    return _kernel_sums(alpha, n, z, _complex_terms, _unpack_complex)
+    return _kernel_sums(alpha, n, z)
 
 
 def reversed_kernel_bundle(alpha, n, u):
@@ -145,41 +153,13 @@ def reversed_kernel_bundle(alpha, n, u):
 
     Zeros of P_n outside the closed unit disk are zeros of the reversed
     polynomial u^(n-1) P_n(1/u) inside it, and that polynomial is the same
-    Gaussian vector expressed in the psi basis.  Summing with a running
-    multiply-by-u update keeps every accumulator at the scale of the local
-    basis values, so the exterior intensity can be evaluated without the
-    catastrophic 1/|u|^4 amplification of the naive change of variables.
+    Gaussian vector expressed in the psi basis.  Each degree promotes the
+    earlier rows by _turn_sums(., u, 1), a multiply-by-u update that keeps
+    every accumulator at the scale of the local basis values, so the
+    exterior intensity can be evaluated without the catastrophic 1/|u|^4
+    amplification of the naive change of variables.
     """
-    def terms(uu):
-        au2 = _abs2(uu)
-        u2 = uu * uu
-        ub = np.conj(uu)
-        t, t2 = np.empty((2,) + uu.shape)
-        c, c2 = np.empty((2,) + uu.shape, uu.dtype)
-
-        def add(sums, P, S):
-            # promote every previous term from u^(i-1-j) psi to u^(i-j) psi;
-            # the derivative picks up the undifferentiated sums from one stage
-            # back, then the fresh degree-i term enters with no power of u.
-            # Each sum is updated after the last read of its old value, and
-            # no complex product overwrites an operand (see szego._sweep)
-            k, kb, k10, k10b, k11 = sums
-            phis, dphis = S
-            np.add(np.multiply(2.0, np.multiply(uu, k10, out=c).real, out=t), k, out=t)
-            np.add(np.multiply(au2, k11, out=k11), t, out=k11)
-            k11 += _abs2(dphis, t, t2)
-            np.add(np.multiply(ub, k, out=c), np.multiply(au2, k10, out=c2), out=k10)
-            k10 += np.multiply(dphis, np.conjugate(phis, out=c), out=c2)
-            np.add(np.multiply(au2, k, out=k), _abs2(phis, t, t2), out=k)
-            np.add(np.multiply(uu, kb, out=c), np.multiply(u2, k10b, out=c2), out=k10b)
-            k10b += np.multiply(dphis, phis, out=c)
-            np.add(np.multiply(u2, kb, out=c), np.multiply(phis, phis, out=c2), out=kb)
-            return sums
-
-        return add, (np.zeros(uu.shape), np.zeros_like(c), np.zeros_like(c),
-                     np.zeros_like(c), np.zeros(uu.shape))
-
-    return _kernel_sums(alpha, n, u, terms, tuple, reverse=True)
+    return _kernel_sums(alpha, n, u, reverse=True)
 
 
 def kernel_direct(alpha, n, z, w):

@@ -251,6 +251,8 @@ def _stacked(roots_list, count):
     sample_roots returns them.  Blocks keep the temporaries of the count
     small next to the roots themselves.
     """
+    if not len(roots_list):
+        raise OutOfDomainError("no trials to count: the roots list is empty")
     step = max(1, _COUNT_ENTRIES // max(1, len(roots_list[0])))
     return np.concatenate([count(np.stack(roots_list[s:s + step]))
                            for s in range(0, len(roots_list), step)])
@@ -266,7 +268,7 @@ def count_in_scaling_window(roots_list, window, n):
 
     n must be the degree the roots come from, n - 1 roots per trial.
     """
-    if n != len(roots_list[0]) + 1:
+    if len(roots_list) and n != len(roots_list[0]) + 1:
         raise OutOfDomainError("scaling window for n = %d, but the roots come from "
                                "n = %d" % (n, len(roots_list[0]) + 1))
     return count_in_region(roots_list, window)

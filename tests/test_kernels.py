@@ -241,12 +241,14 @@ def _head_and_tail(k, n):
     return VerblunskySequence(values=a)
 
 
-@pytest.mark.parametrize("k", [0, 5, 20])
-@pytest.mark.parametrize("n", [2, 3, 64, 4096])
+@pytest.mark.parametrize("n, k", [(n, k) for n in (2, 3, 64, 4096) for k in (0, 5, 20)]
+                         + [(64, 64)])
 def test_zero_tail_kernel_sums_match_high_precision(k, n):
     # past the last nonzero coefficient the rows are z^i phi_K, added by
-    # doubling, not swept (k = 0 is the free ensemble).  Each sum is compared
-    # on its own scale: A for A and B, sqrt(A E) for C and D, E for E
+    # doubling, not swept (k = 0 is the free ensemble; k = n has no zero
+    # among the n - 1 coefficients read, so every degree is swept and the
+    # reversed rows are promoted by u).  Each sum is compared on its own
+    # scale: A for A and B, sqrt(A E) for C and D, E for E
     mpmath = pytest.importorskip("mpmath")
     seq = free() if k == 0 else _head_and_tail(k, n)
     a = seq.array(n - 1)

@@ -317,3 +317,14 @@ def test_quadrature_and_monte_carlo_reject_the_same_regions():
             expected_complex_zeros(free_seq(), n, region)
         with pytest.raises(OutOfDomainError, match=match):
             count_in_region(roots, region)
+
+
+def test_counting_no_trials_raises_out_of_domain():
+    # an empty roots list has no first row to read the degree from, whatever the region
+    win = ScalingWindow(0.5, 2.5, -4.0, 4.0)
+    for roots in ([], np.empty((0, 15), complex)):
+        for region in (WholePlane(), win, object()):
+            with pytest.raises(OutOfDomainError, match="no trials"):
+                count_in_region(roots, region)
+        with pytest.raises(OutOfDomainError, match="no trials"):
+            count_in_scaling_window(roots, win, 16)
