@@ -7,7 +7,8 @@ away from their respective degeneracies and tests enforce this.  The kernel
 route and E[P'/P] are term functions folded over one Szegő sweep by
 ``szego._fold``, which owns the rescale mirroring.  Where the coefficients
 end in zeros, every route stops the sweep there and adds the tail in closed
-form (``_zero_tail``) or by ``szego._doubling`` with their own block algebra.
+form (``_zero_tail``; ``_closed_tail`` for E[P'/P] away from R) or by
+``szego._doubling`` with their own block algebra.
 """
 
 import itertools
@@ -167,23 +168,23 @@ _SINH_SERIES = np.array([1.0 / math.factorial(2 * j + 3) for j in range(10, -1, 
 _COSH_SERIES = _SINH_SERIES * np.arange(22.0, 0.0, -2.0)
 
 
-def _zero_tail(k, mu, r, P, sc, u, n):
-    """K and R of the kernel state (K, mu, R) after n zero coefficients.
+def _geometric_moments(r, n):
+    """The moments of i < n under the weights t^i = e^-ci, t = r^2.
 
-    P = [phi_K, phi_K'] is the sweep's step of degree K, sc its rescale.  The
-    rows u^i [phi_K, i phi_K/u + phi_K'], i < n, weigh t^i = e^-ci; with
-    S0 = sum t^i and E, V the mean and variance of i, _merge's update gives
-    K' = K + phi_K^2 S0, R' = R + phi_K^2 S0 V/t + K S0 d^2/K' with
-    d = phi_K (E/u - mu) + phi_K': nonnegative terms, no division by phi_K.
-    For n c > 3 the truncated geometric law's direct forms lose at most two
-    bits; else y = c/2, Y = n y <= 1.5 and the series of g = coth y - 1/y and
-    f = sinh^-2 y - y^-2 give 2E = g(y) - n g(Y) + n - 1, 4V = f(y) - n^2 f(Y).
+    Returns S0 = sum t^i and E/t, V/t for the mean E and variance V of i.
+    For |n c| > 3 the truncated geometric law's direct forms lose at most two
+    bits; else y = c/2, |Y| = |n y| <= 1.5 and the series of g = coth y - 1/y
+    and f = sinh^-2 y - y^-2 give 2E = g(y) - n g(Y) + n - 1,
+    4V = f(y) - n^2 f(Y).  The real route's tail has r <= 1; the contour's
+    also reads S0 and E/t past r = 1 (c < 0).
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        c = -2.0 * np.log1p(np.abs(u) - 1.0)  # |u| - 1 is exact near |u| = 1
+        c = -2.0 * np.log1p(r - 1.0)  # r - 1 is exact near r = 1
         a, b, p = -np.expm1(-c), -np.expm1(-n * c), np.exp(-(n - 1) * c)
         s0, e_t, v_t = b / a, 1.0 / a - n * p / b, 1.0 / (a * a) - n * n * p / (b * b)
-        near = n * c <= 3.0
+        near = np.abs(n * c) <= 3.0
+        if not near.any():
+            return s0, e_t, v_t
         y = 0.5 * c[near] * np.array([[1.0], [n]])  # y and Y
         w = y * y
         s, q = np.polyval(_SINH_SERIES, w), np.polyval(_COSH_SERIES, w)
@@ -191,7 +192,21 @@ def _zero_tail(k, mu, r, P, sc, u, n):
         g, f = y * q / sinhc, -s * (2.0 + w * s) / (sinhc * sinhc)
         s0[near] = n * np.exp(-(n - 1) * y[0]) * sinhc[1] / sinhc[0]
         e_t[near], v_t[near] = np.array([0.5 * (g[0] - n * g[1] + (n - 1)),
-                                         0.25 * (f[0] - n * n * f[1])]) / (u[near] * u[near])
+                                         0.25 * (f[0] - n * n * f[1])]) / (r[near] * r[near])
+    return s0, e_t, v_t
+
+
+def _zero_tail(k, mu, r, P, sc, u, n):
+    """K and R of the kernel state (K, mu, R) after n zero coefficients.
+
+    P = [phi_K, phi_K'] is the sweep's step of degree K, sc its rescale.  The
+    rows u^i [phi_K, i phi_K/u + phi_K'], i < n, weigh t^i; with S0 = sum t^i
+    and E, V the mean and variance of i (_geometric_moments), _merge's update
+    gives K' = K + phi_K^2 S0, R' = R + phi_K^2 S0 V/t + K S0 d^2/K' with
+    d = phi_K (E/u - mu) + phi_K': nonnegative terms, no division by phi_K.
+    """
+    s0, e_t, v_t = _geometric_moments(np.abs(u), n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if sc is not None:
             k, r = k / (sc * sc), r / (sc * sc)
         kt = P[0] * P[0] * s0
@@ -401,11 +416,77 @@ def _join(b1, b2):
     """Both blocks' rows, at the larger scale: _merge's update on the factors,
     p = hypot(p1, p2), q = (p1 q1 + p2 q2)/p, s = hypot(s1, s2, (p1 q2 - p2 q1)/p)."""
     e = np.maximum(b1[4], b2[4])
-    (cd1, p1, q1, s1), (cd2, p2, q2, s2) = ((b[0] * (f * f), b[1] * f, b[2] * f, b[3] * f)
-                                            for b, f in ((b, np.exp2(b[4] - e)) for b in (b1, b2)))
+    if np.all(b1[4] == b2[4]):  # one scale (always inside the disk): the factors would be 1
+        (cd1, p1, q1, s1), (cd2, p2, q2, s2) = b1[:4], b2[:4]
+    else:
+        f1, f2 = np.exp2(b1[4] - e), np.exp2(b2[4] - e)
+        cd1, p1, q1, s1 = b1[0] * (f1 * f1), b1[1] * f1, b1[2] * f1, b1[3] * f1
+        cd2, p2, q2, s2 = b2[0] * (f2 * f2), b2[1] * f2, b2[2] * f2, b2[3] * f2
     p = np.hypot(p1, p2)
     return (cd1 + cd2, p, (p1 * q1 + p2 * q2) / p,
             np.hypot(np.hypot(s1, s2), (p1 * q2 - p2 * q1) / p), e)
+
+
+def _closed_tail(z, n):
+    """The indices of the points z where the block ([C, D], p, q, s, e) of the
+    rows z^i, i z^(i-1), i < n, is well conditioned in closed form, and that block.
+
+    With t = |z|^2: A = S0 = sum t^i and C = sum i z^(i-1) conj z^i
+    = conj(z) S0 E/t (_geometric_moments, as in the real route's tail),
+    B = (1 - z^(2n))/(1 - z^2) and D = sum i z^(2i-1) = (z B - n z^(2n-1))/(1 - z^2)
+    with z^(2n) by binary powering; then K = (A + Re B)/2, p = sqrt(K),
+    q = Im B/(2p) and s^2 = R = (A^2 - |B|^2)/(4K), a product of (A -+ |B|)/(2p).
+    The points are those with |1 - z^2| >= 1/2 and |B| <= A/2, so that
+    A^2 - |B|^2 >= 3 A^2/4 does not cancel (next to R, B nears A), and with
+    t^n < e^100, so that the block at e = 0 stays far inside the float range
+    when a head's mantissas turn it.  As |B| >= |1 - t^n|/|1 - z^2| and
+    A = (1 - t^n)/(1 - t), |B| <= A/2 needs |1 - z^2| >= 2 |1 - t|, which
+    screens the points first.  The choice reads z and n alone, so a point's
+    bytes do not depend on its grid.
+    """
+    with np.errstate(over="ignore"):  # |z| past 1e154 fails the screen
+        one_z2 = 1.0 - z * z
+        w, t = np.abs(one_z2), z.real * z.real + z.imag * z.imag
+    idx = np.flatnonzero((w >= np.maximum(0.5, 2.0 * np.abs(1.0 - t))) & (t < math.exp(100.0 / n)))
+    if not len(idx):
+        return idx, None
+    v, d1 = z[idx], one_z2[idx]
+    s0, e_t, _ = _geometric_moments(np.abs(v), n)
+    z2n, sq, m = None, v, 2 * n  # z^(2n) by binary powering: no complex log or exp
+    while True:
+        if m & 1:
+            z2n = sq if z2n is None else z2n * sq
+        m >>= 1
+        if not m:
+            break
+        sq = sq * sq
+    b = (1.0 - z2n) / d1
+    ab = np.abs(b)
+    ok = ab <= 0.5 * s0
+    if not ok.all():
+        idx, v, d1, z2n, b, ab, s0, e_t = (x[ok] for x in (idx, v, d1, z2n, b, ab, s0, e_t))
+    p = np.sqrt(0.5 * (s0 + b.real))
+    p2 = 2.0 * p
+    return idx, (np.stack([(s0 * e_t) * np.conj(v), (v * b - n * (z2n / v)) / d1]), p,
+                 b.imag / p2, np.sqrt(((s0 - ab) / p2) * ((s0 + ab) / p2)), np.zeros(len(idx)))
+
+
+def _unit_tail(z, n):
+    """The block of the rows z^i, i z^(i-1), i < n: in closed form where
+    _closed_tail allows, by szego._doubling at the other points."""
+    idx, block = _closed_tail(z, n)
+    if len(idx) == len(z):
+        return block
+    if not len(idx):
+        return _doubling(z, n, _UNIT, _turn, _join)[0]
+    rest = np.ones(len(z), dtype=bool)
+    rest[idx] = False
+    rest = np.flatnonzero(rest)
+    doubled = _doubling(z[rest], n, _UNIT, _turn, _join)[0]
+    cd, pqse = np.empty((2, len(z)), complex), np.zeros((4, len(z)))
+    cd[:, idx], cd[:, rest] = block[0], doubled[0]
+    pqse[:3, idx], pqse[:, rest] = block[1:4], doubled[1:]
+    return (cd,) + tuple(pqse)
 
 
 def _contour_sums(steps, m, tail=None):
@@ -425,10 +506,12 @@ def _contour_sums(steps, m, tail=None):
     smallest normal float are skipped, since K = 0 would make the regression
     0/0 (the reversed basis underflows at low degrees, see _pair_rows).  A
     skipped term leaves K, mu, R and so A and B (which used to be summed
-    with it), but still enters C and D.  With tail = (k, z, N), only the
-    first k steps are rows; the block of the N rows z^i v, z^i v' + i z^(i-1) v
-    from the next, V = [v, v'], joins the state after the fold mirrored its
-    rescale (the scale of the sums drops out of E[P'/P]).  Returns (A, B, C, D, K, R).
+    with it), but still enters C and D.  With tail = (k, unit), only the
+    first k steps are rows; unit() gives the block of the N rows z^i,
+    i z^(i-1) (_unit_tail), which, turned by the next step V = [v, v'] into
+    the rows z^i v, z^i v' + i z^(i-1) v, joins the state after the fold
+    mirrored its rescale (the scale of the sums drops out of E[P'/P]).
+    Returns (A, B, C, D, K, R).
     """
     scratch = np.empty((3, m))
     vv, dvv = np.empty((2, 2, m), dtype=complex)
@@ -455,15 +538,14 @@ def _contour_sums(steps, m, tail=None):
     state = (np.zeros((2, m), dtype=complex),) + tuple(np.zeros((3, m))) + (False,)
     powers = (2, 2, 0, 2, 0)
     if tail is not None:
-        rows, z, n = tail
+        rows, unit = tail
         if rows:
             state, _ = _fold(itertools.islice(steps, rows), add, state, powers)
 
         def add(state, V, S):  # the sums leave the fold at the joined scale
             cd, k, mu, r, _ = state
             p = np.sqrt(k)
-            cd, p, q, s, _ = _join((cd, p, mu * p, np.sqrt(r), 0.0),
-                                   _turn(_doubling(z, n, _UNIT, _turn, _join)[0], V[0], V[1]))
+            cd, p, q, s, _ = _join((cd, p, mu * p, np.sqrt(r), 0.0), _turn(unit(), V[0], V[1]))
             return cd, p * p, q / p, s * s, True
     ((c, d), k, mu, r, _), _ = _fold(steps, add, state, powers)
     km = k * mu
@@ -501,7 +583,8 @@ def log_derivative_grid(alpha, n, z):
         raise OutOfDomainError("E[P'/P] is singular on the real line")
     a = as_verblunsky(alpha).array(n - 1)
     kk = _tail_start(a, n)  # rows K.. are z^i phi_K: sweep to degree K only
-    return _log_derivative(_sweep(a[:kk], z), len(z), (kk, z, n - kk) if kk < n else None)
+    return _log_derivative(_sweep(a[:kk], z), len(z),
+                           (kk, lambda: _unit_tail(z, n - kk)) if kk < n else None)
 
 
 # the reversed basis recomputes its power of u from log u this often (in
@@ -569,7 +652,10 @@ def log_derivative_pair_grid(alpha, n, u):
     rows = itertools.chain(_pair_rows(itertools.islice(steps, kk), n, u),
                            ((np.concatenate([P, S], axis=1), None, None if sc is None
                              else np.concatenate([sc, sc])) for P, S, sc in steps))
-    f = _log_derivative(rows, 2 * len(u), (kk, np.concatenate([u, u]), n - kk) if kk < n else None)
+    tail = None
+    if kk < n:  # one block in u serves both halves of the rows
+        tail = (kk, lambda: tuple(np.concatenate([x, x], axis=-1) for x in _unit_tail(u, n - kk)))
+    f = _log_derivative(rows, 2 * len(u), tail)
     return f[:len(u)], f[len(u):]
 
 
@@ -620,7 +706,7 @@ def complex_intensity(alpha, n, z, route="kernel_form"):
     elif route == "sigma_decomposition":
         rho = _sigma_intensity(alpha, n, z)
     else:
-        raise ValueError("unknown route %r" % (route,))
+        raise OutOfDomainError("unknown route %r" % (route,))
     return IntensityValue(complex(z), float(rho), route)
 
 

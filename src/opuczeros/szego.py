@@ -30,8 +30,9 @@ kernel route keeps the rows of a block of degrees and merges them at once,
 see ``intensity._kernel_fold``), ratios p = 0.  The kernel sums and
 ``evaluate`` add one degree at a time, bit-identical to a per-step
 reference; the kernel sums and E[P'/P] stop at a zero tail and add it by
-``_doubling``, each with its own block algebra, and E[P'/P] derives two of
-its sums (``intensity._contour_sums``).
+``_doubling``, each with its own block algebra (E[P'/P] in closed form away
+from R, ``intensity._closed_tail``), and E[P'/P] derives two of its sums
+(``intensity._contour_sums``).
 
 The range check ``_rescale`` runs only when a mantissa could leave
 [1e-100, 1e100].  Per step the largest of the four moduli grows by at most

@@ -243,6 +243,26 @@ def test_zero_tail_folds_match_high_precision(k, n):
         assert abs(f - want) <= rel * abs(want), ui
 
 
+@pytest.mark.parametrize("k, n", [(0, 64), (0, 256), (0, 512), (0, 2048), (5, 256), (20, 512)])
+def test_closed_form_tail_matches_high_precision(k, n):
+    # away from R the tail block of E[P'/P] is taken in closed form: on the
+    # window rings 1 -+ 5/(2n) (the direct moments), on and next to the
+    # circle (the series for |N ln t| <= 3), and where allowed at 0.7 and
+    # 1.3.  Measured against 60-digit sums: at most 6.3e-14 relative
+    mpmath = pytest.importorskip("mpmath")
+    seq = materialize(free(), n) if k == 0 else _head_and_tail(k, n)
+    a = seq.array(n)
+    radii = (1.0 - 2.5 / n, 1.0 + 2.5 / n, 1.0, 1.0 + 0.25 / n, 0.7, 1.3)
+    z = np.array([r * np.exp(1j * t) for r in radii for t in (math.pi / 4, 1.3, math.pi / 2, 2.4)])
+    idx, _ = intensity._closed_tail(z, n - k)
+    assert set(range(16)) <= set(idx.tolist())
+    got = log_derivative_grid(seq, n, z)
+    for zi, f in zip(z, got):
+        with mpmath.workdps(60):
+            want = complex(_log_derivative_mp(a, n, zi, mpmath))
+        assert abs(f - want) <= 1e-13 * abs(want), zi
+
+
 @pytest.mark.parametrize("name, n, r", [
     ("free", 64, 0.7), ("free", 1024, 1.3), ("constant(0.5)", 839, 1.0),
     ("power_decay(0.9, 0.5)", 1000, 0.7), ("power_decay(0.9, 0.5)", 1000, 1.3),
@@ -330,12 +350,16 @@ def test_contour_fold_does_not_depend_on_the_grid():
     # byte for byte: in the grid the other points rescale at other degrees
     # (the fold divides this point's sums by 1 there), and in the reversed
     # basis they start K at other degrees (u^(n-1-i) underflows longer at
-    # smaller |u|)
+    # smaller |u|).  The window rings 1 -+ 5/1024 take the tail in closed
+    # form away from R and by doubling next to it, in the same grid
     rng = np.random.default_rng(16)
     big = VerblunskySequence(values=rng.choice([-1.0, 1.0], 600) * rng.uniform(0.7, 0.9, 600))
     e = np.exp(1j * np.array([GUARD_THETA, 0.4, 1.5, 2.8, math.pi - GUARD_THETA, -0.7]))
-    z = np.concatenate([r * e for r in (0.3, 0.9, 1.0, 1.1, 2.0)])
-    u = np.concatenate([r * e for r in (1e-6, 1e-3, 0.5, 0.99, 1.0)])
+    z = np.concatenate([r * e for r in (0.3, 0.9, 1.0, 1.1, 2.0, 1.0 - 5 / 1024, 1.0 + 5 / 1024)])
+    u = np.concatenate([r * e for r in (1e-6, 1e-3, 0.5, 0.99, 1.0, 1.0 - 5 / 1024)])
+    for points, n in ((z, 512), (z, 492), (u, 492)):
+        closed = len(intensity._closed_tail(points, n)[0])
+        assert 0 < closed < len(points)
     partial = 0
     for alpha, n in ((big, 600), (materialize(free(), 512), 512), (_head_and_tail(20, 512), 512)):
         for points in (z, u):

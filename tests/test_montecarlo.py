@@ -8,7 +8,7 @@ import pytest
 
 from opuczeros import (AnnularSector, RealInterval, SampleBatch,
                        VerblunskySequence, WholePlane, WholeRealLine,
-                       count_in_region, count_in_scaling_window,
+                       complex_intensity, count_in_region, count_in_scaling_window,
                        expected_complex_zeros, expected_real_zeros,
                        sample_roots)
 from opuczeros import montecarlo
@@ -317,6 +317,15 @@ def test_quadrature_and_monte_carlo_reject_the_same_regions():
             expected_complex_zeros(free_seq(), n, region)
         with pytest.raises(OutOfDomainError, match=match):
             count_in_region(roots, region)
+
+
+def test_unknown_intensity_route_raises_out_of_domain():
+    # like every other bad input, an unknown route raises the library's error,
+    # which is still a ValueError
+    for route in ("typo", "kernel", None):
+        with pytest.raises(OutOfDomainError, match="unknown route"):
+            complex_intensity(free_seq(), 16, 0.5 + 0.5j, route=route)
+    assert issubclass(OutOfDomainError, ValueError)
 
 
 def test_counting_no_trials_raises_out_of_domain():

@@ -12,10 +12,15 @@ skip the mixing, and ``power_decay(0.3, 2)``, whose steps do all of it, at
 points in the unit disk.  Two ``contour`` rows time the whole of
 ``intensity.log_derivative_grid`` (E[P'/P], the integrand of complex counts)
 at the same 800 complex points and n = 1024, in ns per point-degree: the
-free ensemble's rows past degree 0 are added by doubling there, not swept,
-while ``power_decay(0.3, 2)`` sweeps and folds all 1024 degrees.  The
-benchmark's tracer has no span for E[P'/P], so these rows are where the
-fold layer's cost shows.  Two ``intensity`` rows time the whole of
+free ensemble's rows past degree 0 are not swept but added as one block,
+in closed form away from R and by doubling next to it (the spiral has
+points of both kinds), while ``power_decay(0.3, 2)`` sweeps and folds all
+1024 degrees.  The benchmark's tracer has no span for E[P'/P], so these
+rows are where the fold layer's cost shows.  Two ``window`` rows time the
+same call on 800 points of the ring |z| = 1 + 5/2048 with
+pi/4 <= arg z <= 3 pi/4 (the outer edge of a scaling window at n = 1024),
+where the free ensemble's block is in closed form at every point.  Two
+``intensity`` rows time the whole of
 ``intensity.complex_intensity_grid`` (the kernel sums and the three-term
 formula) the same way: the free ensemble's kernel sums take their rows past
 degree 0 by doubling, ``power_decay(0.3, 2)`` sweeps all 1024 degrees.  The
@@ -43,12 +48,14 @@ BUDGET, MAX_REPS, RUNS = 2_000_000, 40, 9
 CASES = [(ens, kind, m) for ens in ("free", "power_decay(0.3, 2)")
          for kind, m in (("real", 1), ("real", 33), ("real", 957), ("real", 4001),
                          ("complex", 800), ("complex", 7000), ("contour", 800),
-                         ("intensity", 800))]
+                         ("window", 800), ("intensity", 800))]
 
 
 def _grid(np, kind, m):
     if kind == "real":
         return np.linspace(-0.99, 0.99, m) if m > 1 else np.array([0.5])
+    if kind == "window":  # the outer ring of a scaling window, away from R
+        return (1.0 + 2.5 / DEGREES) * np.exp(1j * np.linspace(np.pi / 4, 3 * np.pi / 4, m))
     k = np.arange(m)
     # points spread over the disk on a spiral, none on the real line
     return np.sqrt((k + 0.5) / m) * np.exp(2.4j * (k + 0.5))
@@ -74,7 +81,7 @@ def main(argv=None):
               "power_decay(0.3, 2)": materialize(power_decay(0.3, 2), DEGREES).array(DEGREES)}
 
     def run_case(a, kind, z):
-        if kind == "contour":  # E[P'/P] over degrees 0..DEGREES-1
+        if kind in ("contour", "window"):  # E[P'/P] over degrees 0..DEGREES-1
             intensity.log_derivative_grid(a, DEGREES, z)
         elif kind == "intensity":  # the complex intensity, same degrees
             intensity.complex_intensity_grid(a, DEGREES, z)
