@@ -168,18 +168,19 @@ _SINH_SERIES = np.array([1.0 / math.factorial(2 * j + 3) for j in range(10, -1, 
 _COSH_SERIES = _SINH_SERIES * np.arange(22.0, 0.0, -2.0)
 
 
-def _geometric_moments(r, n):
-    """The moments of i < n under the weights t^i = e^-ci, t = r^2.
+def _geometric_moments(c, t, n):
+    """The moments of i < n under the weights t^i = e^-ci.
 
     Returns S0 = sum t^i and E/t, V/t for the mean E and variance V of i.
     For |n c| > 3 the truncated geometric law's direct forms lose at most two
     bits; else y = c/2, |Y| = |n y| <= 1.5 and the series of g = coth y - 1/y
     and f = sinh^-2 y - y^-2 give 2E = g(y) - n g(Y) + n - 1,
-    4V = f(y) - n^2 f(Y).  The real route's tail has r <= 1; the contour's
-    also reads S0 and E/t past r = 1 (c < 0).
+    4V = f(y) - n^2 f(Y).  Near t = 1 the moments are only as accurate as
+    c = -ln t, so the callers form c from a 1 - t good to its last bits.  The
+    real route's tail has t <= 1; the contour's also reads S0 and E/t past
+    t = 1 (c < 0).
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        c = -2.0 * np.log1p(r - 1.0)  # r - 1 is exact near r = 1
         a, b, p = -np.expm1(-c), -np.expm1(-n * c), np.exp(-(n - 1) * c)
         s0, e_t, v_t = b / a, 1.0 / a - n * p / b, 1.0 / (a * a) - n * n * p / (b * b)
         near = np.abs(n * c) <= 3.0
@@ -192,7 +193,7 @@ def _geometric_moments(r, n):
         g, f = y * q / sinhc, -s * (2.0 + w * s) / (sinhc * sinhc)
         s0[near] = n * np.exp(-(n - 1) * y[0]) * sinhc[1] / sinhc[0]
         e_t[near], v_t[near] = np.array([0.5 * (g[0] - n * g[1] + (n - 1)),
-                                         0.25 * (f[0] - n * n * f[1])]) / (r[near] * r[near])
+                                         0.25 * (f[0] - n * n * f[1])]) / t[near]
     return s0, e_t, v_t
 
 
@@ -205,8 +206,10 @@ def _zero_tail(k, mu, r, P, sc, u, n):
     gives K' = K + phi_K^2 S0, R' = R + phi_K^2 S0 V/t + K S0 d^2/K' with
     d = phi_K (E/u - mu) + phi_K': nonnegative terms, no division by phi_K.
     """
-    s0, e_t, v_t = _geometric_moments(np.abs(u), n)
+    a = np.abs(u)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # |u| - 1 is exact near |u| = 1
+        s0, e_t, v_t = _geometric_moments(-2.0 * np.log1p(a - 1.0), a * a, n)
         if sc is not None:
             k, r = k / (sc * sc), r / (sc * sc)
         kt = P[0] * P[0] * s0
@@ -416,15 +419,25 @@ def _join(b1, b2):
     """Both blocks' rows, at the larger scale: _merge's update on the factors,
     p = hypot(p1, p2), q = (p1 q1 + p2 q2)/p, s = hypot(s1, s2, (p1 q2 - p2 q1)/p)."""
     e = np.maximum(b1[4], b2[4])
-    if np.all(b1[4] == b2[4]):  # one scale (always inside the disk): the factors would be 1
-        (cd1, p1, q1, s1), (cd2, p2, q2, s2) = b1[:4], b2[:4]
-    else:
-        f1, f2 = np.exp2(b1[4] - e), np.exp2(b2[4] - e)
-        cd1, p1, q1, s1 = b1[0] * (f1 * f1), b1[1] * f1, b1[2] * f1, b1[3] * f1
-        cd2, p2, q2, s2 = b2[0] * (f2 * f2), b2[1] * f2, b2[2] * f2, b2[3] * f2
+    (cd1, p1, q1, s1), (cd2, p2, q2, s2) = ((b[0] * (f * f), b[1] * f, b[2] * f, b[3] * f)
+                                            for b, f in ((b, np.exp2(b[4] - e)) for b in (b1, b2)))
     p = np.hypot(p1, p2)
     return (cd1 + cd2, p, (p1 * q1 + p2 * q2) / p,
             np.hypot(np.hypot(s1, s2), (p1 * q2 - p2 * q1) / p), e)
+
+
+def _one_minus_abs2(z):
+    """1 - |z|^2 within a few ulps of itself, however near |z| is to 1: the
+    squares split exactly (Dekker's products) and 1 - s is exact for s in [1/2, 2]."""
+    x = np.stack([z.real, z.imag])
+    h = 134217729.0 * x  # 2^27 + 1
+    h -= h - x  # x's high half, x = h + l
+    l = x - h
+    sq = x * x
+    err = ((h * h - sq) + 2.0 * h * l) + l * l  # x^2 = sq + err
+    s = sq[0] + sq[1]
+    bb = s - sq[0]
+    return ((1.0 - s) - ((sq[0] - (s - bb)) + (sq[1] - bb))) - (err[0] + err[1])
 
 
 def _closed_tail(z, n):
@@ -436,6 +449,8 @@ def _closed_tail(z, n):
     B = (1 - z^(2n))/(1 - z^2) and D = sum i z^(2i-1) = (z B - n z^(2n-1))/(1 - z^2)
     with z^(2n) by binary powering; then K = (A + Re B)/2, p = sqrt(K),
     q = Im B/(2p) and s^2 = R = (A^2 - |B|^2)/(4K), a product of (A -+ |B|)/(2p).
+    c = -ln t comes from _one_minus_abs2: from a rounded |z|, A and C would
+    lose a factor 1/|1 - t| in accuracy.
     The points are those with |1 - z^2| >= 1/2 and |B| <= A/2, so that
     A^2 - |B|^2 >= 3 A^2/4 does not cancel (next to R, B nears A), and with
     t^n < e^100, so that the block at e = 0 stays far inside the float range
@@ -451,7 +466,7 @@ def _closed_tail(z, n):
     if not len(idx):
         return idx, None
     v, d1 = z[idx], one_z2[idx]
-    s0, e_t, _ = _geometric_moments(np.abs(v), n)
+    s0, e_t, _ = _geometric_moments(-np.log1p(-_one_minus_abs2(v)), t[idx], n)
     z2n, sq, m = None, v, 2 * n  # z^(2n) by binary powering: no complex log or exp
     while True:
         if m & 1:
@@ -475,10 +490,10 @@ def _unit_tail(z, n):
     """The block of the rows z^i, i z^(i-1), i < n: in closed form where
     _closed_tail allows, by szego._doubling at the other points."""
     idx, block = _closed_tail(z, n)
+    if not len(idx):  # an empty grid included
+        return _doubling(z, n, _UNIT, _turn, _join)[0]
     if len(idx) == len(z):
         return block
-    if not len(idx):
-        return _doubling(z, n, _UNIT, _turn, _join)[0]
     rest = np.ones(len(z), dtype=bool)
     rest[idx] = False
     rest = np.flatnonzero(rest)

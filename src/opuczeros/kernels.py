@@ -76,9 +76,8 @@ def _complex_terms(zz):
 def _turn_sums(block, v, dv, de=None):
     """Block (A, B, C, D, E, e) of the rows v w_i, v w_i' + dv w_i from that of the
     w_i, at e + de (at e itself when de is None); a block holds the sums over 4^e.
-    It turns the reversed head by (u, 1) (in place, in _promoted), the doubling's
-    rows by (z^M, M z^(M-1)), the tail by [phi_K, phi_K'] and the reversed rows
-    below K by u^N."""
+    It turns the reversed head by (u, 1), the doubling's rows by (z^M, M z^(M-1)),
+    the tail by [phi_K, phi_K'] and the reversed rows below K by u^N."""
     a, b, c, d, e = block[:5]
     av, v2, w = _abs2(v), v * v, dv * np.conj(v)
     return (av * a, v2 * b, av * c + w * a, v2 * d + dv * v * b,
@@ -98,26 +97,11 @@ def _join_sums(b1, b2):
 
 def _promoted(add, u):
     """add, _complex_terms' fold, of the row phi^*_i after the earlier rows turn by
-    (u, 1): one degree on, each psi_j(u) = u^(n-1-j) phi_j^*(u) gains a factor u.
-
-    The turn is _turn_sums(., u, 1.0) written in place, with its constants
-    formed once and every product in _turn_sums' operand order (|1|^2 A = A
-    exactly); no complex product overwrites an operand (see szego._sweep).
-    """
-    av, v2, w, dvv = _abs2(u), u * u, 1.0 * np.conj(u), 1.0 * u
-    t, t2 = np.empty((2,) + u.shape, complex)
-
+    (u, 1): one degree on, each psi_j(u) = u^(n-1-j) phi_j^*(u) gains a factor u."""
     def promote(sums, P, S):
         s1, s2, k10 = sums
-        a, b, d, e = s1[0], s2[0], s2[1], s1[1]
-        # E' = |1|^2 A + 2 Re(conj(w) C) + |u|^2 E, from the old A, C and E
-        r = np.multiply(np.conjugate(w, out=t2), k10, out=t).real
-        np.add(a, np.multiply(2.0, r, out=r), out=r)
-        np.add(r, np.multiply(av, e, out=e), out=e)
-        np.add(np.multiply(av, k10, out=t), np.multiply(w, a, out=t2), out=k10)  # C'
-        np.add(np.multiply(v2, d, out=t), np.multiply(dvv, b, out=t2), out=d)  # D'
-        np.multiply(av, a, out=a)
-        np.copyto(b, np.multiply(v2, b, out=t))
+        turned = _turn_sums((s1[0], s2[0], k10, s2[1], s1[1], 0.0), u, 1.0)
+        s1[0], s2[0], k10[...], s2[1], s1[1] = turned[:5]
         return add(sums, S, P)
 
     return promote
@@ -136,7 +120,7 @@ def _kernel_sums(alpha, n, z, reverse=False):
     kk = _tail_start(a, n)
     zz = _points(z)
     add, sums = _complex_terms(zz)
-    if reverse and kk:  # add is referenced from the closure only, so the tail frees its scratch
+    if reverse:  # add is referenced from the closure only, so the tail frees its scratch
         add = _promoted(add, zz)
     steps, log_scale = _sweep(a[:kk], zz), 0.0
     if kk:
@@ -170,11 +154,10 @@ def reversed_kernel_bundle(alpha, n, u):
     Zeros of P_n outside the closed unit disk are zeros of the reversed
     polynomial u^(n-1) P_n(1/u) inside it, and that polynomial is the same
     Gaussian vector expressed in the psi basis.  Each degree promotes the
-    earlier rows by the turn _turn_sums(., u, 1), written in place by
-    _promoted: a multiply-by-u update that keeps every accumulator at the
-    scale of the local basis values, so the exterior intensity can be
-    evaluated without the catastrophic 1/|u|^4 amplification of the naive
-    change of variables.
+    earlier rows by _turn_sums(., u, 1), a multiply-by-u update that keeps
+    every accumulator at the scale of the local basis values, so the
+    exterior intensity can be evaluated without the catastrophic 1/|u|^4
+    amplification of the naive change of variables.
     """
     return _kernel_sums(alpha, n, u, reverse=True)
 
