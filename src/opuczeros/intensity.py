@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError
-from .kernels import kernel_bundle, reversed_kernel_bundle
+from .kernels import CD_CUTOFF, kernel_bundle, reversed_kernel_bundle
 from .szego import _doubling, _fold, _sweep, _tail_start, as_verblunsky, evaluate
 
 # dispatch from the closed form to the kernel form near x = +-1
@@ -72,25 +72,6 @@ def h_alt(alpha, n, x):
     return _h(x * ev.phi, ev.phi_star, ev.phi + x * ev.dphi, ev.dphi_star, x)
 
 
-def _residual_step(k, mu, r, x, y, scratch):
-    """Fold one term into K = sum x^2 and the residual R of y on x, in place.
-
-    mu = sum x y / K is the regression coefficient; with e = y - mu x and
-    K' = K + x^2 the residual gains e^2 K/K', a nonnegative term, so R never
-    cancels.  Writes the new (K, mu, R) into k, mu, r through three scratch
-    arrays of their shape.  E[P'/P] folds its K, mu, R one degree at a time
-    with this step; the real kernel route folds _BLOCK degrees at once with
-    _merge, the same update for a block of terms.
-    """
-    e, k_new, g = scratch
-    np.subtract(y, np.multiply(mu, x, out=e), out=e)
-    np.add(np.multiply(x, x, out=k_new), k, out=k_new)
-    np.divide(e, k_new, out=g)
-    r += np.multiply(e, np.multiply(g, k, out=k), out=k)
-    mu += np.multiply(x, g, out=g)
-    np.copyto(k, k_new)
-
-
 # degrees per block of the real kernel route; fixed, so the blocks a point's
 # terms fall into depend on the degree alone, never on the grid
 _BLOCK = 32
@@ -119,9 +100,10 @@ def _merge(k, mu, r, rows):
 
         R' = R + K (mu' - mu)^2 + sum e^2,
 
-    a sum of nonnegative terms, like _residual_step's.  The shift
-    mu' - mu = sum x f / K' with f = y - mu x is formed directly, so it does
-    not cancel, and e = f - (mu' - mu) x.
+    a sum of nonnegative terms (_join's update on the factor, which has no
+    slope mu; here phi_0 = 1 gives K > 0).  The shift mu' - mu = sum x f / K'
+    with f = y - mu x is formed directly, so it does not cancel, and
+    e = f - (mu' - mu) x.
     """
     x, y = rows[:, 0], rows[:, 1]
     f = y - mu * x
@@ -398,11 +380,11 @@ def complex_intensity_reversed_grid(alpha, n, u, degenerate="raise"):
 def _turn(block, v, dv, de=0.0):
     """The block of the rows v w_i, v w_i' + dv w_i from that of the w_i, at e + de.
 
-    A block ([C, D], p, q, s, e) holds C, D / 4^e and the factor p = sqrt(K),
-    q = mu sqrt(K), s = sqrt(R) of (K, mu, R) / 2^e: the rows p + i q and i s
-    have its A and B.  Both turn by v and are triangularised again with
-    s' = |v|^2 p s/p', a product (A^2 - |B|^2 = 4 p^2 s^2 is never formed);
-    where both turned rows are imaginary (p' = 0), s' holds all of them.
+    A block ([C, D], p, q, s, e) holds C, D / 4^e and the factor (p, q, s) of
+    _contour_sums / 2^e: the rows p + i q and i s have its A and B.  Both
+    turn by v and are triangularised again with s' = |v|^2 p s/p', a product
+    (A^2 - |B|^2 = 4 p^2 s^2 is never formed); where both turned rows are
+    imaginary (p' = 0), s' holds all of them.
     """
     cd, p, q, s, e = block
     w = p + 1j * q
@@ -505,66 +487,68 @@ def _unit_tail(z, n):
 
 
 def _contour_sums(steps, m, tail=None):
-    """The sums A, B, C, D of E[P'/P], and K, R, folded over one sweep.
+    """The sums A, B, C, D of E[P'/P], and p^2, s^2, folded over one sweep.
 
     X = P(z) = sum eta_i v_i(z) is a complex Gaussian with
     E|X|^2 = A = sum |v_i|^2 and E X^2 = B = sum v_i^2; Y = P'(z) has
     E[Y conj X] = C = sum v_i' conj v_i and E[Y X] = D = sum v_i' v_i (for
     v_i = phi_i: K(z, z), K(z, conj z), K^(1,0)(z, z), K^(1,0)(z, conj z)).
     steps yields (V, S, sc) per degree with V = [v_i, v_i'] at m points, as
-    the sweep does (S is not read).  In place, the fold adds C and D and,
-    with v = x + iy, K = sum x^2, mu = sum x y / K and the residual R of y
-    on x (_residual_step); A = K (1 + mu^2) + R and B = K (1 + i mu)^2 - R
-    follow, so A^2 - |B|^2 = 4 K R.  A is a sum of nonnegative terms, and
-    Re B = K - (K mu) mu - R has the absolute error eps A of summing
-    x^2 - y^2.  Until a point's K holds a term, its terms with x^2 below the
-    smallest normal float are skipped, since K = 0 would make the regression
-    0/0 (the reversed basis underflows at low degrees, see _pair_rows).  A
-    skipped term leaves K, mu, R and so A and B (which used to be summed
-    with it), but still enters C and D.  With tail = (k, unit), only the
-    first k steps are rows; unit() gives the block of the N rows z^i,
-    i z^(i-1) (_unit_tail), which, turned by the next step V = [v, v'] into
-    the rows z^i v, z^i v' + i z^(i-1) v, joins the state after the fold
-    mirrored its rescale (the scale of the sums drops out of E[P'/P]).
-    Returns (A, B, C, D, K, R).
+    the sweep does (S is not read).  In place, the fold adds C and D and
+    appends each row v = x + iy by a Givens rotation to the factor (p, q, s)
+    that _turn and _join hold: p' = sqrt(p^2 + x^2), q' = (p q + x y)/p' and
+    s'^2 = s^2 + ((p y - x q)/p')^2, with no slope to blow up where the
+    first rows are nearly imaginary.  A = p^2 + q^2 + s^2, B = (p + iq)^2 - s^2
+    and A^2 - |B|^2 = 4 p^2 s^2.  Until every point's p' reaches 1e-150 (the
+    reversed basis underflows at low degrees, see _pair_rows), two guards
+    read each point alone: below it p' comes from hypot, and where p' = 0
+    the row adds y to s alone.  With tail = (k, unit), only the first k
+    steps are rows; unit() gives the block of the N rows z^i, i z^(i-1)
+    (_unit_tail), which, turned by the next step V = [v, v'] into the rows
+    z^i v, z^i v' + i z^(i-1) v, joins the state after the fold mirrored its
+    rescale (the scale of the sums drops out of E[P'/P]).
     """
-    scratch = np.empty((3, m))
     vv, dvv = np.empty((2, 2, m), dtype=complex)
+    t, g = np.empty((2, m))
 
     def add(state, V, S):
-        cd, k, mu, r, started = state
-        v = V[0]
-        x, y = v.real, v.imag
+        cd, p, q, s2, p2, started = state
+        v, x, y = V[0], V[0].real, V[0].imag
         # [C, D] += v' [conj v, v], v' first as in the kernel sums
         np.conjugate(v, out=vv[0])
         vv[1] = v
         cd += np.multiply(V[1], vv, out=dvv)
-        if started:
-            _residual_step(k, mu, r, x, y, scratch)
-            return state
-        # a skipped term enters as x = y = 0 against K = 1 (its K is 0):
-        # e = 0 leaves mu and R, and K goes back to 0
-        keep = (x * x >= _TINY) | (k > 0.0)
-        k += ~keep
-        _residual_step(k, mu, r, x * keep, y * keep, scratch)
-        k *= keep
-        return cd, k, mu, r, bool(np.all(k > 0.0))
+        # p' goes into the spare buffer p2, which takes p's place
+        np.sqrt(np.add(np.multiply(p, p, out=p2), np.multiply(x, x, out=t), out=p2), out=p2)
+        if not started:
+            low = p2 < 1e-150  # where p^2 + x^2 may underflow
+            p2[low] = np.hypot(p[low], x[low])
+            started = not low.any()
+        zero = None if started else p2 == 0.0  # there p = x = q = 0: divide by 1
+        d = p2 if zero is None else p2 + zero
+        np.divide(np.subtract(np.multiply(p, y, out=t), np.multiply(x, q, out=g), out=t), d, out=t)
+        if zero is not None:
+            t[zero] = y[zero]
+        q *= p
+        q += np.multiply(x, y, out=g)
+        q /= d
+        s2 += np.multiply(t, t, out=t)
+        return cd, p2, q, s2, p, started
 
-    state = (np.zeros((2, m), dtype=complex),) + tuple(np.zeros((3, m))) + (False,)
-    powers = (2, 2, 0, 2, 0)
+    state = (np.zeros((2, m), dtype=complex),) + tuple(np.zeros((4, m))) + (False,)
+    powers = (2, 1, 1, 2, 0, 0)
     if tail is not None:
         rows, unit = tail
         if rows:
             state, _ = _fold(itertools.islice(steps, rows), add, state, powers)
 
         def add(state, V, S):  # the sums leave the fold at the joined scale
-            cd, k, mu, r, _ = state
-            p = np.sqrt(k)
-            cd, p, q, s, _ = _join((cd, p, mu * p, np.sqrt(r), 0.0), _turn(unit(), V[0], V[1]))
-            return cd, p * p, q / p, s * s, True
-    ((c, d), k, mu, r, _), _ = _fold(steps, add, state, powers)
-    km = k * mu
-    return k + km * mu + r, (k - km * mu - r) + 2j * km, c, d, k, r
+            cd, p, q, s2, p2, _ = state
+            cd, p, q, s, _ = _join((cd, p, q, np.sqrt(s2), 0.0), _turn(unit(), V[0], V[1]))
+            return cd, p, q, s * s, p2, True
+    ((c, d), p, q, s2, *_), _ = _fold(steps, add, state, powers)
+    pp, qq = p * p, q * q
+    return pp + qq + s2, (pp - qq - s2) + 2j * (p * q), c, d, pp, s2
 
 
 def _log_derivative(steps, m, tail=None):
@@ -572,12 +556,12 @@ def _log_derivative(steps, m, tail=None):
 
         E[P'/P] = (C/A - (D/A) conj(b)/(1 + sqrt(delta))) / sqrt(delta)
 
-    with b = B/A and delta = (A^2 - |B|^2)/A^2 = 4 (K/A)(R/A), which
+    with b = B/A and delta = (A^2 - |B|^2)/A^2 = 4 (p^2/A)(s^2/A), which
     vanishes on R (E[conj X / X] = conj B/(A + sqrt(A^2 - |B|^2))).
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a, b, c, d, k, r = _contour_sums(steps, m, tail)
-        root = np.sqrt(4.0 * (k / a) * (r / a))
+        a, b, c, d, pp, s2 = _contour_sums(steps, m, tail)
+        root = np.sqrt(4.0 * (pp / a) * (s2 / a))
         f = (c / a - (d / a) * np.conj(b / a) / (1.0 + root)) / root
     if not np.all(np.isfinite(f)):
         raise OutOfDomainError("K_n^2 - |K_n(z, conj z)|^2 degenerate at the "
@@ -613,8 +597,8 @@ def _pair_rows(steps, n, u):
     psi_i = u^(n-1-i) phi_i^* is the basis of the reversed polynomial
     P^*(u) = u^(n-1) P(1/u) = sum eta_i psi_i(u) (real coefficients), and
     psi_i' = u^(n-1-i) (phi_i^*' + (n-1-i) phi_i^* / u).  The power shrinks
-    with the degree gap, so for small |u| the low degrees underflow (their
-    terms are skipped by _contour_sums).  It is recomputed from log u every
+    with the degree gap, so for small |u| the low degrees underflow (see
+    _contour_sums).  It is recomputed from log u every
     _POWER_ANCHOR degrees, and at every degree where it is below the
     smallest normal float, so that no chain carries an underflowed power's
     lost digits (or its 0) into the terms that count; with |u| <= 1 the
@@ -675,18 +659,27 @@ def log_derivative_pair_grid(alpha, n, u):
 
 
 def _sigma_intensity(alpha, n, z):
-    """Sigma-decomposition route; identical value through different algebra."""
+    """Sigma-decomposition route; identical value through different algebra.
+
+    Its kernels are Christoffel-Darboux quotients by 1 - |z|^2 and 1 - z^2,
+    so it raises OutOfDomainError next to T, as kernel_cd does.
+    """
     zc = complex(z)
+    if n <= 1:
+        return 0.0
     if zc.imag == 0.0:
         raise OutOfDomainError("complex intensity is undefined on the real line")
+    az2 = abs(zc) ** 2
+    one_m_az2 = 1.0 - az2
+    one_m_z2 = 1.0 - zc * zc
+    if min(abs(one_m_az2), abs(one_m_z2)) < CD_CUTOFF * (1.0 + az2):
+        raise OutOfDomainError("the sigma route's quotients lose digits next to "
+                               "T; use the kernel form")
     ev = evaluate(alpha, n, zc)
     # Work with the scaled mantissas: every term below is homogeneous of
     # degree six in the polynomial values, as is d**1.5, so the scale
     # factor cancels in the final ratio.
     p, ps, dp, dps = ev.phi, ev.phi_star, ev.dphi, ev.dphi_star
-    az2 = abs(zc) ** 2
-    one_m_az2 = 1.0 - az2
-    one_m_z2 = 1.0 - zc * zc
     a1m = one_m_az2 * one_m_az2
     a2m = abs(one_m_z2) ** 2
     k = (abs(ps) ** 2 - abs(p) ** 2) / one_m_az2

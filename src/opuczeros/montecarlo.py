@@ -28,6 +28,7 @@ any thread count.
 
 import logging
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -97,6 +98,10 @@ class SampleBatch:
     trials: int
 
     def __post_init__(self):
+        for name in ("n", "seed", "trials"):  # numpy integers are Integral too
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise OutOfDomainError("%s must be an integer, not %r" % (name, value))
         if self.trials < 1:
             raise OutOfDomainError("trials must be >= 1")
         if self.n < 2:

@@ -40,7 +40,8 @@ def para_spectrum(alpha, n):
     """Zeros of Phi_n(z; 1) on the unit circle with sigma_n weights."""
     if n < 1:
         raise OutOfDomainError("paraorthogonal polynomials need n >= 1")
-    a = as_verblunsky(alpha).array(n - 1)
+    seq = as_verblunsky(alpha)
+    a = seq.array(n - 1)
     roots = np.asarray(np.linalg.eigvals(ggt_matrix(np.append(a, 1.0))[0]), dtype=complex)
     radii = np.abs(roots)
     if np.any(np.abs(radii - 1.0) > _CIRCLE_TOL):
@@ -52,6 +53,11 @@ def para_spectrum(alpha, n):
     if n > 1 and np.min(np.abs(np.diff(np.concatenate(
             [np.angle(zeros), [np.angle(zeros[0]) + 2 * np.pi]])))) < 1e-9:
         raise RootFindingError("zeros are not numerically distinct")
+    # one Newton step on Phi_n(z; 1) = z phi_{n-1} - phi_{n-1}^*, back onto T:
+    # the weight fold amplifies a zero's error, and eigvals' depends on the BLAS threads
+    ev = evaluate(seq, n - 1, zeros)
+    zeros = zeros - (zeros * ev.phi - ev.phi_star) / (ev.phi + zeros * ev.dphi - ev.dphi_star)
+    zeros /= np.abs(zeros)
     # K_n(zeta, zeta) sums squares (power 2); phi_{n-1}(zeta) is the last
     # step's value, never divided (power 0), so both end at one scale
     (k, phi), _ = _fold(_sweep(a, zeros),
@@ -86,7 +92,7 @@ def caratheodory(alpha, n, z, form="rational", spectrum=None):
             raise OutOfDomainError("z coincides with a pole of F_n")
         vals = np.sum(w * (zeta + zz) / (zeta - zz), axis=0)
         return vals if np.ndim(z) else complex(vals[0])
-    raise ValueError("unknown form %r" % (form,))
+    raise OutOfDomainError("unknown form %r" % (form,))
 
 
 def h_via_caratheodory(alpha, n, x):

@@ -313,6 +313,25 @@ def test_reversed_log_derivative_matches_high_precision(name, n):
             assert abs(got[0] - want) <= rel * abs(want), (x, theta)
 
 
+@pytest.mark.parametrize("seq, n, u", [
+    (materialize(power_decay(0.3, 2), 64), 64, 0.999 * np.exp(1j * math.pi / 6)),
+    (_head_and_tail(6, 64), 64, 0.999j),
+    (_head_and_tail(20, 512), 512, 0.9995 * np.exp(1j * math.pi / 1022)),
+    (materialize(constant(0.5), 48), 48, 0.99 * np.exp(1j * math.pi / 94)),
+], ids=["power_decay(0.3, 2)", "head 6", "head 20", "constant(0.5)"])
+def test_reversed_first_row_matches_high_precision(seq, n, u):
+    # the reversed basis starts with the row u^(n-1) phi_0^*, nearly
+    # imaginary at these points; a fold through the slope sum x y / sum x^2
+    # of the rows' real and imaginary parts lost up to 5e-4 relative here.
+    # The last case, whose first row is not nearly imaginary, is the control
+    mpmath = pytest.importorskip("mpmath")
+    _, got = log_derivative_pair_grid(seq, n, [u])
+    with mpmath.workdps(120):
+        v = mpmath.mpc(u)
+        want = complex((n - 1) / v - _log_derivative_mp(seq.array(n), n, 1 / v, mpmath) / v ** 2)
+    assert abs(got[0] - want) <= 1e-13 * abs(want)
+
+
 @pytest.mark.xfail(strict=True, reason="E[P^*'/P^*] loses relative accuracy like "
                    "eps/|u| near u = 0 beyond the free ensemble")
 @pytest.mark.parametrize("name, n", [("constant(0.5)", 48), ("power_decay(0.9, 0.5)", 64)])

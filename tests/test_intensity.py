@@ -144,6 +144,30 @@ def test_complex_routes_agree_in_annulus():
         done += 1
 
 
+def test_sigma_route_raises_next_to_the_circle():
+    # its CD quotients divide by 1 - |z|^2 and 1 - z^2: on T it raised a bare
+    # ZeroDivisionError, and at |z| = 1 + 1e-12 it returned 5.1e18 where the
+    # kernel form gives 1.597
+    al = materialize(power_decay(0.3, 2), 8)
+    for z in (np.exp(0.5j), (1.0 + 1e-12) * np.exp(0.5j), 1.00005 * np.exp(0.5j),
+              np.exp(1e-6j), -1.0 + 1e-6j):
+        with pytest.raises(OutOfDomainError):
+            complex_intensity(al, 8, z, route="sigma_decomposition")
+        assert complex_intensity(al, 8, z).rho >= 0.0
+    # past the cutoff the two routes agree again
+    for z in (1.01 * np.exp(0.5j), 0.99 * np.exp(0.5j)):
+        a = complex_intensity(al, 8, z).rho
+        b = complex_intensity(al, 8, z, route="sigma_decomposition").rho
+        assert abs(a - b) <= 1e-8 * a
+
+
+def test_sigma_route_has_no_zeros_at_degree_one():
+    # the kernel form's 0, where the sigma route raised OutOfDomainError
+    for z in (0.5 + 0.5j, 2.0 - 1.0j):
+        for route in ("kernel_form", "sigma_decomposition"):
+            assert complex_intensity(free(), 1, z, route=route).rho == 0.0
+
+
 def test_complex_intensity_rejects_real_points():
     with pytest.raises(OutOfDomainError):
         complex_intensity(free(), 8, 0.5 + 0.0j)

@@ -16,6 +16,7 @@ from opuczeros.expectation import ScalingWindow
 from opuczeros.errors import OutOfDomainError, RootFindingError
 from opuczeros.montecarlo import (_EXP_M2, _ndtri, _uniforms, basis_matrix,
                                   is_real_root)
+from opuczeros.para import caratheodory
 from opuczeros.szego import ggt_matrix
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -326,6 +327,23 @@ def test_unknown_intensity_route_raises_out_of_domain():
         with pytest.raises(OutOfDomainError, match="unknown route"):
             complex_intensity(free_seq(), 16, 0.5 + 0.5j, route=route)
     assert issubclass(OutOfDomainError, ValueError)
+
+
+def test_unknown_caratheodory_form_raises_out_of_domain():
+    with pytest.raises(OutOfDomainError, match="unknown form"):
+        caratheodory(free_seq(), 8, 0.5j, form="x")
+
+
+def test_non_integral_batch_fields_raise_out_of_domain():
+    # these were accepted, and sample_roots then raised bare TypeErrors
+    for field in ("n", "seed", "trials"):
+        kw = dict(n=8, seed=1, trials=2)
+        for bad in (kw[field] + 0.5, float(kw[field])):
+            kw[field] = bad
+            with pytest.raises(OutOfDomainError, match=field):
+                SampleBatch(alpha=free_seq(), **kw)
+    batch = SampleBatch(n=np.int64(8), alpha=free_seq(), seed=np.int32(1), trials=np.int16(2))
+    assert [len(r) for r in sample_roots(batch)] == [7, 7]
 
 
 def test_counting_no_trials_raises_out_of_domain():

@@ -8,7 +8,7 @@ from opuczeros import InvalidCoefficientError, VerblunskySequence, evaluate, sze
 from opuczeros.szego import blaschke, kappa_log, regularity_epsilon
 from opuczeros.ensembles import constant, free, materialize, power_decay
 from opuczeros.intensity import (_BLOCK, CLOSED_CUTOFF, _UNIT, _closed_rho, _inverted,
-                                 _join, _kernel_fold, _residual_step, _turn,
+                                 _join, _kernel_fold, _turn,
                                  real_intensity_grid, real_intensity_kernel_grid)
 from opuczeros.kernels import (_UNIT_SUMS, _join_sums, _turn_sums, kernel_bundle,
                                kernel_direct, reversed_kernel_bundle)
@@ -414,6 +414,21 @@ def _near_one():
     xs = [s * (1.0 - 10.0 ** -k) for k in range(4, 13) for s in (1.0, -1.0)]
     xs += [s * math.sqrt(1.0 + d) for d in (-CLOSED_CUTOFF, CLOSED_CUTOFF) for s in (1.0, -1.0)]
     return np.array(xs)
+
+
+def _residual_step(k, mu, r, x, y, scratch):
+    """Fold one term into K = sum x^2 and the residual R of y on x, in place.
+
+    mu = sum x y / K is the regression coefficient; with e = y - mu x and
+    K' = K + x^2 the residual gains e^2 K/K', a nonnegative term.
+    """
+    e, k_new, g = scratch
+    np.subtract(y, np.multiply(mu, x, out=e), out=e)
+    np.add(np.multiply(x, x, out=k_new), k, out=k_new)
+    np.divide(e, k_new, out=g)
+    r += np.multiply(e, np.multiply(g, k, out=k), out=k)
+    mu += np.multiply(x, g, out=g)
+    np.copyto(k, k_new)
 
 
 def _per_degree_rho(steps, m):

@@ -20,7 +20,12 @@ rows are where the fold layer's cost shows.  Two ``window`` rows time the
 same call on 800 points of the ring |z| = 1 + 5/2048 with
 pi/4 <= arg z <= 3 pi/4 (the outer edge of a scaling window at n = 1024),
 where the free ensemble's block is in closed form at every point.  Two
-``intensity`` rows time the whole of
+``pair`` rows time ``intensity.log_derivative_pair_grid`` (E[P'/P] and the
+reversed polynomial's E[P^*'/P^*] from one sweep, the integrand of the
+whole-plane total) on 800 points of the two guard rays, arg u =
+``GUARD_THETA`` and pi - ``GUARD_THETA`` with 0 < |u| < 1, at n = 1024:
+the reversed half's low degrees underflow at small |u|, so these rows also
+time the contour fold's start-up.  Two ``intensity`` rows time the whole of
 ``intensity.complex_intensity_grid`` (the kernel sums and the three-term
 formula) the same way: the free ensemble's kernel sums take their rows past
 degree 0 by doubling, ``power_decay(0.3, 2)`` sweeps all 1024 degrees.  The
@@ -48,10 +53,13 @@ BUDGET, MAX_REPS, RUNS = 2_000_000, 40, 9
 CASES = [(ens, kind, m) for ens in ("free", "power_decay(0.3, 2)")
          for kind, m in (("real", 1), ("real", 33), ("real", 957), ("real", 4001),
                          ("complex", 800), ("complex", 7000), ("contour", 800),
-                         ("window", 800), ("intensity", 800))]
+                         ("window", 800), ("pair", 800), ("intensity", 800))]
 
 
-def _grid(np, kind, m):
+def _grid(np, kind, m, guard):
+    if kind == "pair":  # the two guard rays inside the unit disk, m/2 points each
+        r = (np.arange(m // 2) + 0.5) / (m // 2)
+        return np.concatenate([r * np.exp(1j * guard), r * np.exp(1j * (np.pi - guard))])
     if kind == "real":
         return np.linspace(-0.99, 0.99, m) if m > 1 else np.array([0.5])
     if kind == "window":  # the outer ring of a scaling window, away from R
@@ -76,6 +84,7 @@ def main(argv=None):
     import numpy as np
     from opuczeros import intensity, szego
     from opuczeros.ensembles import free, materialize, power_decay
+    from opuczeros.expectation import GUARD_THETA
 
     alphas = {"free": materialize(free(), DEGREES).array(DEGREES),
               "power_decay(0.3, 2)": materialize(power_decay(0.3, 2), DEGREES).array(DEGREES)}
@@ -83,6 +92,8 @@ def main(argv=None):
     def run_case(a, kind, z):
         if kind in ("contour", "window"):  # E[P'/P] over degrees 0..DEGREES-1
             intensity.log_derivative_grid(a, DEGREES, z)
+        elif kind == "pair":  # both halves, from one sweep at u
+            intensity.log_derivative_pair_grid(a, DEGREES, z)
         elif kind == "intensity":  # the complex intensity, same degrees
             intensity.complex_intensity_grid(a, DEGREES, z)
         else:
@@ -91,7 +102,7 @@ def main(argv=None):
     times = collections.defaultdict(list)
     for _ in range(runs):
         for ens, kind, m in CASES:
-            a, z = alphas[ens], _grid(np, kind, m)
+            a, z = alphas[ens], _grid(np, kind, m, GUARD_THETA)
             reps = min(max_reps, max(1, BUDGET // (DEGREES * m)))
             t0 = time.perf_counter()
             for _ in range(reps):
