@@ -5,8 +5,8 @@ All zeros are simple and lie on the unit circle; the attached weights
 |phi_{n-1}(zeta)|^2 / K_n(zeta, zeta) sum to one.
 
 The zeros are the eigenvalues of the unitary GGT matrix with alpha_{n-1} = 1
-from ``szego.ggt_matrix``, the builder the Monte Carlo sampler uses, and the
-weights one fold over one Szegő sweep at the zeros.
+from ``szego.ggt_matrix``, the builder the Monte Carlo sampler uses, after
+one Newton step, and the weights one fold over one Szegő sweep at the zeros.
 """
 
 from dataclasses import dataclass, field
